@@ -167,7 +167,7 @@ func BenchmarkMonteCarloEvaluation(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := space.Evaluate(state, rng); err != nil {
+		if _, err := space.Eval.Evaluate(state, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,11 +191,11 @@ func BenchmarkEvaluationCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := int64(i) + 1
 		for _, st := range states {
-			k, err := space.CRNKernel(st, base)
+			k, err := space.Kernel(st, base)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := probir.RunCRNKernel(k); err != nil {
+			if _, err := probir.RunKernel(k); err != nil {
 				b.Fatal(err)
 			}
 		}

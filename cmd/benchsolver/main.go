@@ -121,11 +121,11 @@ func boundaryDeadline(p *problem, worlds int, pct, lo, hi float64) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		k, err := n.CRNKernel(make([]int, p.w.Len()), 1)
+		k, err := n.Kernel(make([]int, p.w.Len()), 1)
 		if err != nil {
 			return 0, err
 		}
-		ev, err := probir.RunCRNKernel(k)
+		ev, err := probir.RunKernel(k)
 		if err != nil {
 			return 0, err
 		}
@@ -231,11 +231,11 @@ func batchLegacy(l *legacyEval, base int64) error {
 // kernels over one shared compiled program, folded canonically.
 func batchFlat(n *probir.Native, p *problem, base int64) error {
 	for _, cfg := range p.configs {
-		k, err := n.CRNKernel(cfg, base)
+		k, err := n.Kernel(cfg, base)
 		if err != nil {
 			return err
 		}
-		if _, err := probir.RunCRNKernel(k); err != nil {
+		if _, err := probir.RunKernel(k); err != nil {
 			return err
 		}
 	}

@@ -5,18 +5,19 @@ package deco
 // every way the solver can compute it must agree bit-for-bit:
 //
 //   - full evaluation     probir.Native.EvaluateCRN (one sequential pass)
-//   - kernel path         CRNKernel + probir.RunCRNKernel (world-decomposed,
+//   - kernel path         Space.Kernel + probir.RunKernel (world-decomposed,
 //                         folded canonically)
 //   - device/delta path   opt.Search's batch dispatch, which shares the
 //                         lazily-filled CRN duration rows across sibling
 //                         states and runs them on whatever device is
 //                         configured
 //
-// The deterministic ensemble and follow-the-cost spaces carry Worlds()=1
-// kernels (their evaluations ignore the CRN base), so the same three-way
-// property holds for them: direct Evaluate == kernel == the solver's
-// compiled dispatch on every device. The Map fallback path is additionally
-// pinned against direct Evaluate for both.
+// A deterministic program (cost goal, mean-notion budget only) compiles a
+// Worlds()=0 kernel whose reduction folds zero sums. The deterministic
+// ensemble and follow-the-cost spaces carry Worlds()=1 kernels (their
+// evaluations ignore the seed), so the same three-way property holds for
+// them: direct Evaluate == kernel == the solver's compiled dispatch on every
+// device.
 
 import (
 	"math/rand"
@@ -44,8 +45,8 @@ var pathDevices = []device.Device{
 
 // frozenSpace pins a search to exactly one state: Initial is the state,
 // Neighbors is empty. Searching it runs the solver's batch-evaluation
-// dispatch (CRN, kernel, or Map path — whatever the inner space supports)
-// on precisely that state, so Result.BestEval is the dispatched evaluation.
+// dispatch on precisely that state, so Result.BestEval is the dispatched
+// evaluation.
 type frozenSpace struct {
 	inner opt.Space
 	st    opt.State
@@ -53,19 +54,8 @@ type frozenSpace struct {
 
 func (f *frozenSpace) Initial() opt.State              { return f.st.Clone() }
 func (f *frozenSpace) Neighbors(opt.State) []opt.State { return nil }
-func (f *frozenSpace) Evaluate(s opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
-	return f.inner.Evaluate(s, rng)
-}
-
-// frozenCRNSpace additionally forwards the CRN kernel, keeping the search on
-// the shared-realization device path.
-type frozenCRNSpace struct {
-	frozenSpace
-	crn opt.CRNSpace
-}
-
-func (f *frozenCRNSpace) CRNKernel(s opt.State, base int64) (probir.WorldKernel, error) {
-	return f.crn.CRNKernel(s, base)
+func (f *frozenSpace) Kernel(s opt.State, seed int64) (probir.WorldKernel, error) {
+	return f.inner.Kernel(s, seed)
 }
 
 // assertSameEval fails unless the two evaluations are bit-identical.
@@ -124,10 +114,19 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A deterministic program: no percentile constraint, so no figure needs
+	// a sampled world and the kernel runs Worlds() == 0.
+	detEval, err := probir.NewNative(w, tbl, env.Prices, probir.GoalCost,
+		[]wlog.Constraint{{Kind: "budget", Percentile: -1, Bound: 50}}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, sp := range map[string]*opt.ScheduleSpace{
-		"plain":  opt.NewScheduleSpace(w, eval),
-		"packed": opt.NewPackedScheduleSpace(w, eval, tbl, env.Prices, cloud.USEast),
+		"plain":         opt.NewScheduleSpace(w, eval),
+		"packed":        opt.NewPackedScheduleSpace(w, eval, tbl, env.Prices, cloud.USEast),
+		"deterministic": opt.NewScheduleSpace(w, detEval),
 	} {
+		eval := sp.Eval.(*probir.Native)
 		const base = 27
 		states := []opt.State{sp.Initial()}
 		states = append(states, sp.Neighbors(states[0])...) // Δ=1 siblings: the row-reuse case
@@ -136,8 +135,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 		}
 		for _, st := range states {
 			// Full evaluation: one sequential pass at the shared base, plus
-			// the plan-level objective exactly as ScheduleSpace.Evaluate
-			// applies it.
+			// the plan-level objective applied on top.
 			want, err := eval.EvaluateCRN(st, base)
 			if err != nil {
 				t.Fatal(err)
@@ -150,18 +148,30 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 				want.Value = v
 			}
 			// Kernel path, folded sequentially.
-			k, err := sp.CRNKernel(st, base)
+			k, err := sp.Kernel(st, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kev, err := probir.RunCRNKernel(k)
+			if det := name == "deterministic"; det != (k.Worlds() == 0) {
+				t.Fatalf("%s: kernel samples %d worlds", name, k.Worlds())
+			} else if det {
+				// Evaluate under a state-keyed rng is the sequential
+				// reference here: with no sampled worlds the rng cannot
+				// change the result.
+				gen, err := eval.Evaluate(st, rand.New(rand.NewSource(opt.StateBase(base, st))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameEval(t, name+": generic reference", gen, want)
+			}
+			kev, err := probir.RunKernel(k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameEval(t, name+": kernel path", kev, want)
 			// Device/delta path through the solver's dispatch, every device.
 			for _, dev := range pathDevices {
-				got := searchOneState(t, &frozenCRNSpace{frozenSpace{sp, st}, sp}, dev, base, false)
+				got := searchOneState(t, &frozenSpace{sp, st}, dev, base, false)
 				assertSameEval(t, name+": "+dev.Name(), got, want)
 			}
 		}
@@ -280,22 +290,20 @@ func TestEvalPathEquivalenceEnsemble(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Kernel path, folded sequentially.
-		k, err := sp.CRNKernel(st, base)
+		k, err := sp.Kernel(st, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kev, err := probir.RunCRNKernel(k)
+		kev, err := probir.RunKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameEval(t, "ensemble: kernel path", kev, want)
+		// Compiled kernel dispatch must reproduce the direct evaluation on
+		// every device.
 		for _, dev := range pathDevices {
-			// Compiled kernel dispatch and the Map fallback must both
-			// reproduce the direct evaluation on every device.
-			got := searchOneState(t, &frozenCRNSpace{frozenSpace{sp, st}, sp}, dev, base, true)
+			got := searchOneState(t, &frozenSpace{sp, st}, dev, base, true)
 			assertSameEval(t, "ensemble kernel: "+dev.Name(), got, want)
-			got = searchOneState(t, &frozenSpace{sp, st}, dev, base, true)
-			assertSameEval(t, "ensemble map: "+dev.Name(), got, want)
 		}
 	}
 }
@@ -333,20 +341,18 @@ func TestEvalPathEquivalenceFTC(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Kernel path, folded sequentially.
-		k, err := sp.CRNKernel(st, base)
+		k, err := sp.Kernel(st, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kev, err := probir.RunCRNKernel(k)
+		kev, err := probir.RunKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameEval(t, "ftc: kernel path", kev, want)
 		for _, dev := range pathDevices {
-			got := searchOneState(t, &frozenCRNSpace{frozenSpace{sp, st}, sp}, dev, base, false)
+			got := searchOneState(t, &frozenSpace{sp, st}, dev, base, false)
 			assertSameEval(t, "ftc kernel: "+dev.Name(), got, want)
-			got = searchOneState(t, &frozenSpace{sp, st}, dev, base, false)
-			assertSameEval(t, "ftc map: "+dev.Name(), got, want)
 		}
 	}
 }

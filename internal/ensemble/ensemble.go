@@ -228,9 +228,10 @@ func (s *Space) Neighbors(st opt.State) []opt.State {
 	return out
 }
 
-// Evaluate implements opt.Space: the score of the admitted set, feasible iff
-// the total cost fits the budget (per-workflow deadlines are already folded
-// into the plans).
+// Evaluate scores a state directly: the score of the admitted set, feasible
+// iff the total cost fits the budget (per-workflow deadlines are already
+// folded into the plans). It is the reference the solver's kernel path is
+// checked against; the rng is unused (the objective is deterministic).
 func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
 	if len(st) != len(s.E.Workflows) {
 		return nil, fmt.Errorf("ensemble: state length %d, want %d", len(st), len(s.E.Workflows))
@@ -254,14 +255,12 @@ func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, erro
 	return ev, nil
 }
 
-// CRNKernel implements opt.CRNSpace. The admission objective is
-// deterministic — no Monte-Carlo worlds — so the kernel is a single world of
-// two figures (score sum, cost sum) that ignores the CRN base entirely; it
-// exists so admission searches run the solver's compiled kernel pipeline
-// (and its evaluation cache) instead of the per-state fallback. Figures fold
-// in workflow-index order, exactly as Evaluate accumulates them, so both
-// paths are bit-identical on every device.
-func (s *Space) CRNKernel(st opt.State, base int64) (probir.WorldKernel, error) {
+// Kernel implements opt.Space. The admission objective is deterministic — no
+// Monte-Carlo worlds — so the kernel is a single world of two figures (score
+// sum, cost sum) that ignores the seed. Figures fold in workflow-index
+// order, exactly as Evaluate accumulates them, so both are bit-identical on
+// every device.
+func (s *Space) Kernel(st opt.State, seed int64) (probir.WorldKernel, error) {
 	if len(st) != len(s.E.Workflows) {
 		return nil, fmt.Errorf("ensemble: state length %d, want %d", len(st), len(s.E.Workflows))
 	}
@@ -312,7 +311,7 @@ type admissionKernel struct {
 func (k *admissionKernel) Worlds() int { return 1 }
 func (k *admissionKernel) Width() int  { return 2 }
 
-func (k *admissionKernel) Sample(it int, rng *rand.Rand, out []float64) error {
+func (k *admissionKernel) Sample(it int, out []float64) error {
 	score, cost := 0.0, 0.0
 	for i, bit := range k.st {
 		if bit == 0 {

@@ -406,8 +406,10 @@ func (s *Space) reduce(sums []float64) *probir.Evaluation {
 	return &probir.Evaluation{Value: sums[0], Violation: sums[1], Feasible: sums[2] == 0}
 }
 
-// Evaluate implements opt.Space: Eq. 7's expected remaining cost plus
-// migration charges, with Eq. 10's deterministic deadline per job.
+// Evaluate scores a state directly: Eq. 7's expected remaining cost plus
+// migration charges, with Eq. 10's deterministic deadline per job. It is the
+// reference the solver's kernel path is checked against; the rng is unused
+// (the objective is deterministic).
 func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
 	if err := s.compile(); err != nil {
 		return nil, err
@@ -419,12 +421,10 @@ func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, erro
 	return s.reduce(sums[:]), nil
 }
 
-// CRNKernel implements opt.CRNSpace. The placement objective is
-// deterministic — no Monte-Carlo worlds — so the kernel is a single world of
-// three figures that ignores the CRN base; it exists so per-decision-point
-// searches run the solver's compiled kernel pipeline (and its evaluation
-// cache) instead of the per-state fallback.
-func (s *Space) CRNKernel(st opt.State, base int64) (probir.WorldKernel, error) {
+// Kernel implements opt.Space. The placement objective is deterministic — no
+// Monte-Carlo worlds — so the kernel is a single world of three figures that
+// ignores the seed.
+func (s *Space) Kernel(st opt.State, seed int64) (probir.WorldKernel, error) {
 	if err := s.compile(); err != nil {
 		return nil, err
 	}
@@ -480,7 +480,7 @@ type placementKernel struct {
 func (k *placementKernel) Worlds() int { return 1 }
 func (k *placementKernel) Width() int  { return 3 }
 
-func (k *placementKernel) Sample(it int, rng *rand.Rand, out []float64) error {
+func (k *placementKernel) Sample(it int, out []float64) error {
 	return k.sp.accumulate(k.st, out)
 }
 

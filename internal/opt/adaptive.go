@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"deco/internal/device"
@@ -121,61 +120,38 @@ func (p *Problem) finalizePartial(k probir.PartialKernel, sums []float64, seen i
 	return ev, nil
 }
 
-// evaluateAdaptive is the chunked sequential-stopping evaluation path. Like
-// evaluateKernel it reports ok=false when a state's kernel drifts from the
-// compiled shape (including losing the partial-kernel capability), in which
-// case the batch falls back to the generic path with recorded construction
-// errors preserved.
-func (p *Problem) evaluateAdaptive(cands []candidate) ([]scored, bool) {
-	if len(cands) == 0 {
-		return nil, false
-	}
-	bd, okDev := p.opts.Device.(device.BlockDevice)
-	if !okDev {
-		return make([]scored, len(cands)), false
-	}
+// evaluateAdaptive is the chunked sequential-stopping evaluation path.
+// Compile engages it only when the probe kernel is a PartialKernel, so a
+// state whose kernel lost that capability is an error for that state alone,
+// like any other shape drift.
+func (p *Problem) evaluateAdaptive(cands []candidate) []scored {
 	n := len(cands)
 	out := make([]scored, n)
 	kernels := make([]probir.PartialKernel, n)
 	var snaps []*probir.Snapshot
-	if p.delta {
+	if p.dspace != nil {
 		snaps = p.getSnapBuf(n)
 		defer p.putSnapBuf(snaps)
 	}
-	var bases []int64
-	if !p.crn {
-		bases = make([]int64, n)
-	}
-	buildOK := true
 	p.labeled(phaseKernelBuild, func() {
 		for i, c := range cands {
 			out[i] = scored{state: c.state, key: c.key}
 			k, snap, err := p.buildKernel(c)
+			if snaps != nil {
+				snaps[i] = snap
+			}
 			if err != nil {
 				out[i].err = err
 				continue
 			}
-			pk, okPartial := k.(probir.PartialKernel)
-			if k == nil || k.Worlds() != p.worlds || k.Width() != p.width || !okPartial {
-				if snap != nil {
-					p.dspace.ReleaseSnapshot(snap)
-				}
-				p.releaseSnaps(snaps)
-				buildOK = false
-				return
+			pk, ok := k.(probir.PartialKernel)
+			if !ok {
+				out[i].err = fmt.Errorf("opt: state %v kernel lost partial reduction", c.state)
+				continue
 			}
 			kernels[i] = pk
-			if snaps != nil {
-				snaps[i] = snap
-			}
-			if !p.crn {
-				bases[i] = stateRng(p.opts.Seed, c.key).Int63()
-			}
 		}
 	})
-	if !buildOK {
-		return out, false
-	}
 
 	sums := make([]float64, n*p.width)
 	seen := make([]int, n)
@@ -235,7 +211,7 @@ func (p *Problem) evaluateAdaptive(cands []candidate) ([]scored, bool) {
 		var slots []float64
 		var errs []error
 		p.labeled(phaseChunkEval, func() {
-			slots, errs = device.ReduceBlocksRange(bd, nb, lo, end, p.width, round, func(b, t int, slot []float64) error {
+			slots, errs = device.ReduceBlocksRange(p.opts.Device, nb, lo, end, p.width, round, func(b, t int, slot []float64) error {
 				if kernels[active[b]] == nil {
 					return nil
 				}
@@ -249,11 +225,7 @@ func (p *Problem) evaluateAdaptive(cands []candidate) ([]scored, bool) {
 				if p.order != nil {
 					wt = int(p.order[t])
 				}
-				var rng *rand.Rand
-				if !p.crn {
-					rng = probir.WorldRNG(bases[active[b]], wt)
-				}
-				return kernels[active[b]].Sample(wt, rng, slot)
+				return kernels[active[b]].Sample(wt, slot)
 			})
 		})
 		blockOf := make(map[int]int, nb)
@@ -342,21 +314,8 @@ func (p *Problem) evaluateAdaptive(cands []candidate) ([]scored, bool) {
 
 	// Only complete evaluations parent future deltas: a partial snapshot has
 	// unwritten worlds and must never enter the store.
-	if snaps != nil {
-		p.enterPhase(phaseSnapshotPut)
-		for i, sn := range snaps {
-			if sn == nil {
-				continue
-			}
-			if out[i].err == nil && out[i].eval != nil && seen[i] == p.worlds {
-				p.snaps.put(out[i].key, sn)
-			} else {
-				p.dspace.ReleaseSnapshot(sn)
-			}
-		}
-		p.exitPhase()
-	}
-	return out, true
+	p.storeSnaps(snaps, out, func(i int) bool { return seen[i] == p.worlds })
+	return out
 }
 
 // canonRow refolds the value-figure entries of state i's running sums in

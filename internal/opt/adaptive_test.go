@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -9,16 +8,6 @@ import (
 	"deco/internal/device"
 	"deco/internal/probir"
 )
-
-// mapOnlySpace has no kernel decomposition at all: evaluation only via the
-// generic map path. Used to pin the Worlds-assertion error.
-type mapOnlySpace struct{}
-
-func (mapOnlySpace) Initial() State            { return State{0} }
-func (mapOnlySpace) Neighbors(s State) []State { return nil }
-func (mapOnlySpace) Evaluate(s State, rng *rand.Rand) (*probir.Evaluation, error) {
-	return &probir.Evaluation{Value: 1, Feasible: true}, nil
-}
 
 // TestCompileAdaptiveOptionValidation pins the Compile-time validation of the
 // adaptive-sampling knobs: bad values fail with errors naming the option, and
@@ -52,11 +41,6 @@ func TestCompileAdaptiveOptionValidation(t *testing.T) {
 	}
 	if p.Adaptive() {
 		t.Fatal("Adaptive off must compile the fixed path")
-	}
-	// Asserting Worlds against a space with no kernel decomposition fails.
-	if _, err := Compile(mapOnlySpace{}, Options{Device: device.Sequential{}, Worlds: 5}); err == nil ||
-		!strings.Contains(err.Error(), "no per-world kernel decomposition") {
-		t.Errorf("kernel-less Worlds assertion: error = %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package opt
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,16 +34,19 @@ func (s *slowSpace) Neighbors(st State) []State {
 	return out
 }
 
-func (s *slowSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, error) {
-	s.evals.Add(1)
-	time.Sleep(s.delay)
-	v := 0.0
-	for _, x := range st {
-		v += float64(x)
-	}
-	// Children strictly improve on their parent (minimization toward the
-	// all-max state), so neither search prunes or stalls before cancellation.
-	return &probir.Evaluation{Value: 1 + float64(s.n*(s.types-1)) - v, Feasible: true}, nil
+func (s *slowSpace) Kernel(st State, seed int64) (probir.WorldKernel, error) {
+	return scoreKernel{func() (*probir.Evaluation, error) {
+		s.evals.Add(1)
+		time.Sleep(s.delay)
+		v := 0.0
+		for _, x := range st {
+			v += float64(x)
+		}
+		// Children strictly improve on their parent (minimization toward the
+		// all-max state), so neither search prunes or stalls before
+		// cancellation.
+		return &probir.Evaluation{Value: 1 + float64(s.n*(s.types-1)) - v, Feasible: true}, nil
+	}}, nil
 }
 
 func TestSearchCancellationIsPrompt(t *testing.T) {

@@ -75,7 +75,8 @@ func (s State) Key() string {
 }
 
 // Space defines a search problem. Implementations exist for the three use
-// cases (scheduling here, ensembles and follow-the-cost in their packages).
+// cases (scheduling here, ensembles and follow-the-cost in their packages,
+// plus the runtime's residual replans).
 type Space interface {
 	// Initial is the search's start state (e.g. every task on the cheapest
 	// type, as in Figure 5b).
@@ -83,10 +84,14 @@ type Space interface {
 	// Neighbors generates the child states of s via the transformation
 	// operations.
 	Neighbors(s State) []State
-	// Evaluate scores s with Monte-Carlo inference. It must be
-	// deterministic given rng and safe for concurrent calls with distinct
-	// rngs.
-	Evaluate(s State, rng *rand.Rand) (*probir.Evaluation, error)
+	// Kernel builds s's Monte-Carlo evaluation as a per-world kernel
+	// (package probir) under the search seed: one device block per state,
+	// one thread per world. The kernel owns its draws — CRN kernels key
+	// them by seed alone, state-keyed kernels by StateBase(seed, s) — so a
+	// state's evaluation is a pure function of (space, seed, s). Every
+	// state of a space must build the same kernel shape (Worlds, Width);
+	// deterministic spaces return Worlds() == 0 or 1.
+	Kernel(s State, seed int64) (probir.WorldKernel, error)
 }
 
 // Options configures a search.
@@ -105,11 +110,11 @@ type Options struct {
 	Patience int
 	// Seed makes runs reproducible. Under the common-random-number contract
 	// it is the search-level CRN base: every state in the search shares the
-	// same world realizations, keyed by (task, type, iteration); spaces
-	// without CRN support derive a per-state rng from Seed and the state
-	// key. Either way results are identical across devices. The zero value
-	// defaults to 1 (fillDefaults), matching DefaultOptions, so a zero-value
-	// Options and DefaultOptions agree.
+	// same world realizations, keyed by (task, type, iteration); state-keyed
+	// kernels derive a per-state base from Seed and the state key
+	// (StateBase). Either way results are identical across devices. The
+	// zero value defaults to 1 (fillDefaults), matching DefaultOptions, so a
+	// zero-value Options and DefaultOptions agree.
 	Seed int64
 	// AStar selects best-first search with pruning instead of the generic
 	// breadth-first search.
@@ -236,34 +241,14 @@ func score(ev *probir.Evaluation, maximize bool) float64 {
 	return 1e15 * (1 + ev.Violation)
 }
 
-// stateRng derives a deterministic rng for a state so evaluation results do
-// not depend on scheduling order or device.
-func stateRng(seed int64, key string) *rand.Rand {
+// StateBase derives the world substream base of a state-keyed kernel — one
+// whose worlds cannot share the search's common random numbers — from the
+// search seed and the state key, so its evaluation depends on neither
+// scheduling order nor device.
+func StateBase(seed int64, s State) int64 {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
-}
-
-// KernelSpace is an optional Space extension: a space whose Monte-Carlo
-// evaluation decomposes into a per-world kernel plus reduction (package
-// probir), letting a BlockDevice schedule Monte-Carlo iterations as threads
-// within a state's block. Kernel returns (nil, nil) when the state's
-// evaluation has no world decomposition; the solver then falls back to
-// state-level parallelism.
-type KernelSpace interface {
-	Space
-	Kernel(s State) (probir.WorldKernel, error)
-}
-
-// CRNSpace is the preferred Space extension: a space whose kernels run under
-// the common-random-number contract (probir.CRNEvaluator). All states of a
-// search share one duration matrix keyed by the search seed, so evaluating a
-// neighbor state only samples the rows its changed assignments need, and
-// state-vs-state comparisons see identical randomness. CRNKernel returns
-// (nil, nil) when the state's evaluation has no CRN decomposition.
-type CRNSpace interface {
-	Space
-	CRNKernel(s State, base int64) (probir.WorldKernel, error)
+	_, _ = h.Write([]byte(s.Key()))
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64()))).Int63()
 }
 
 // Transform is one transformation edge of the search graph: the child state
@@ -280,74 +265,52 @@ type Transform struct {
 	Child State
 }
 
-// TransformSpace is an optional Space extension: neighbor generation that
-// reports which tasks each transformation touched. TransformNeighbors must
-// produce exactly the states Neighbors produces, in the same order — it is
-// the same expansion, annotated — so a search routed through either is
-// identical. The solver uses the annotations to evaluate children
-// incrementally from their parent's finish-time snapshot.
-type TransformSpace interface {
+// DeltaSpace is an optional Space extension: incremental evaluation of a
+// child state from its parent's per-world finish-time snapshot (probir's
+// Native snapshot, cone-plan and delta-kernel methods lifted to search
+// states). The solver enables it when NewSnapshot returns non-nil.
+//
+// TransformNeighbors must produce exactly the states Neighbors produces, in
+// the same order — it is the same expansion, annotated with the tasks each
+// transformation touched — so a search routed through either is identical.
+// Cone extraction is planned once per distinct dirty set (PlanCone) and
+// shared by every child kernel that changes exactly those tasks.
+type DeltaSpace interface {
 	Space
 	TransformNeighbors(s State) []Transform
-}
-
-// DeltaSpace is an optional extension of CRNSpace: a space whose CRN kernels
-// can capture per-world finish-time snapshots and evaluate a child
-// configuration incrementally from its parent's snapshot (probir's
-// DeltaEvaluator lifted to search states). The solver enables delta
-// evaluation when a space implements both DeltaSpace and TransformSpace and
-// NewSnapshot returns non-nil.
-type DeltaSpace interface {
-	CRNSpace
 	// NewSnapshot returns a pooled snapshot sized for this space's
 	// evaluation, or nil when evaluations have no reusable per-world state.
 	NewSnapshot() *probir.Snapshot
 	// ReleaseSnapshot returns a snapshot to the pool.
 	ReleaseSnapshot(s *probir.Snapshot)
-	// CRNKernelSnap is CRNKernel, additionally capturing the state's
-	// per-world finish times into snap.
-	CRNKernelSnap(s State, base int64, snap *probir.Snapshot) (probir.WorldKernel, error)
-	// CRNDeltaKernel builds a kernel evaluating s from its parent's
-	// snapshot, recomputing only the dirty tasks' cone, and capturing into
-	// snap. Returns (nil, nil) when delta does not apply; the caller then
-	// evaluates fully.
-	CRNDeltaKernel(s State, base int64, dirty []int32, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
-}
-
-// WorldOrderSpace is an optional extension of CRNSpace: a fixed
-// decisive-world-first permutation of the Monte-Carlo worlds (probir's
-// WorldOrderer lifted to spaces). When present, adaptive evaluation runs
-// worlds in this order so likely-violating worlds land in the first chunks:
-// the exact worst-case stopping interval is a bound over the fixed finite
-// world set and stays valid under any fixed permutation, so near-boundary
-// infeasible states refute after a handful of severe worlds and feasible
-// states confirm at the tail checkpoints instead of always running to the
-// cap. The permutation must be a pure function of (program content, base) —
-// never of device or state — so adaptive decisions stay device-identical.
-type WorldOrderSpace interface {
-	CRNSpace
-	// WorldOrder returns the permutation for the CRN base: position p holds
-	// the p-th world to run. The slice is shared and read-only; nil disables
-	// ordering.
-	WorldOrder(base int64) []int32
-}
-
-// PlannedDeltaSpace is an optional extension of DeltaSpace: delta kernel
-// construction with the dirty-cone extraction hoisted into a reusable plan
-// (probir's PlanCone / CRNDeltaKernelPlanned lifted to spaces). The solver
-// caches one plan per distinct dirty set, so sibling children that change the
-// same task group — the whole expansion under GroupByExecutable — share a
-// single cone extraction, and the plan's work-estimate model decides
-// delta-vs-full once per group instead of once per child.
-type PlannedDeltaSpace interface {
-	DeltaSpace
+	// KernelSnap is Kernel, additionally capturing the state's per-world
+	// finish times into snap.
+	KernelSnap(s State, seed int64, snap *probir.Snapshot) (probir.WorldKernel, error)
 	// PlanCone extracts the dirty cone of one changed-task set into an
 	// immutable, shareable plan.
 	PlanCone(dirty []int32) (*probir.ConePlan, error)
-	// CRNDeltaKernelPlanned is CRNDeltaKernel with the plan precomputed; the
-	// kernel borrows the plan's cone read-only. Returns (nil, nil) when delta
-	// does not apply (including a plan whose work model declined).
-	CRNDeltaKernelPlanned(s State, base int64, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
+	// DeltaKernel builds a kernel evaluating s from its parent's snapshot,
+	// recomputing only the plan's cone, and capturing into snap. Returns
+	// (nil, nil) when delta does not apply; the caller then evaluates fully.
+	DeltaKernel(s State, seed int64, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
+}
+
+// WorldOrderSpace is an optional Space extension: a fixed
+// decisive-world-first permutation of the Monte-Carlo worlds (probir's
+// Native.WorldOrder lifted to spaces). When present, adaptive evaluation
+// runs worlds in this order so likely-violating worlds land in the first
+// chunks: the exact worst-case stopping interval is a bound over the fixed
+// finite world set and stays valid under any fixed permutation, so
+// near-boundary infeasible states refute after a handful of severe worlds
+// and feasible states confirm at the tail checkpoints instead of always
+// running to the cap. The permutation must be a pure function of (program content, seed) —
+// never of device or state — so adaptive decisions stay device-identical.
+type WorldOrderSpace interface {
+	Space
+	// WorldOrder returns the permutation for the search seed: position p
+	// holds the p-th world to run. The slice is shared and read-only; nil
+	// disables ordering.
+	WorldOrder(seed int64) []int32
 }
 
 // FingerprintSpace is an optional Space extension: a content hash of

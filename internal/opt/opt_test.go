@@ -387,7 +387,7 @@ func TestSearchImprovesOnStartsProperty(t *testing.T) {
 			return false
 		}
 		for _, st := range space.Starts() {
-			ev, err := space.Evaluate(st, rand.New(rand.NewSource(seed)))
+			ev, err := space.Eval.Evaluate(st, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				return false
 			}

@@ -223,7 +223,7 @@ func TestGroupConeDeltaMatchesFullTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !on.delta || on.pdspace == nil {
+			if on.dspace == nil {
 				t.Fatal("group space did not compile onto the planned-delta path")
 			}
 
@@ -392,9 +392,9 @@ func TestCompleteParentRegeneratesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.adaptive || p.order == nil || !p.delta {
+	if !p.adaptive || p.order == nil || p.dspace == nil {
 		t.Fatalf("fixture must compile adaptive+ordered+delta (adaptive=%v order=%v delta=%v)",
-			p.adaptive, p.order != nil, p.delta)
+			p.adaptive, p.order != nil, p.dspace != nil)
 	}
 
 	// The all-cheapest start is sharply infeasible: under decisive-world-first

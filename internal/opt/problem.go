@@ -3,7 +3,6 @@ package opt
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime/pprof"
 	"sync"
 
@@ -12,8 +11,8 @@ import (
 )
 
 // Problem is a search compiled against a space and a fixed Options: every
-// capability of the space — kernel/CRN decomposition, fingerprint, cache
-// binding, multi-start seeds — is resolved exactly once, here, and carried
+// capability of the space — kernel shape, delta, world order, fingerprint,
+// cache binding, multi-start seeds — is resolved exactly once, here, and carried
 // as plain fields. The search loops and batch evaluators never probe the
 // space again; Compile is the only place in the solver that type-asserts
 // against the optional Space extensions.
@@ -30,36 +29,26 @@ type Problem struct {
 	// nil disables caching for this problem.
 	cache *Binding
 
-	// kernel builds the per-state world kernel; nil selects the generic
-	// per-state Evaluate path. When crn is set the kernel follows the
-	// common-random-number contract (shared duration matrix keyed by the
-	// search seed; the per-world rng is ignored), otherwise worlds draw from
-	// state-keyed substreams and the path requires a BlockDevice.
-	kernel        func(State) (probir.WorldKernel, error)
-	crn           bool
+	// worlds and width are the kernel shape every state's kernel must have,
+	// probed from the first start state at Compile.
 	worlds, width int
 
-	// delta, when set, routes kernel construction through dspace: every
-	// evaluated state captures a finish-time snapshot into snaps, and a
-	// candidate whose parent snapshot is retained evaluates incrementally
-	// over the dirty cone instead of the full DAG. tspace annotates
-	// neighbor expansion with the changed-task metadata that drives it.
-	// Delta is bit-identical to full evaluation by construction; disabling
-	// it (Options.SnapshotBudget < 0) changes wall clock only.
-	delta  bool
-	dspace DeltaSpace
-	tspace TransformSpace
-	snaps  *snapStore
-	stats  DeltaStats
-
-	// pdspace, when set, routes delta construction through dirty-cone plans:
+	// dspace, when set, routes kernel construction through delta
+	// evaluation: every evaluated state captures a finish-time snapshot into
+	// snaps, and a candidate whose parent snapshot is retained evaluates
+	// incrementally over the dirty cone instead of the full DAG. Delta is
+	// bit-identical to full evaluation by construction; disabling it
+	// (Options.SnapshotBudget < 0) changes wall clock only.
+	//
 	// planCache holds one immutable ConePlan per distinct dirty set (keyed by
 	// an FNV hash with exact-match buckets), so sibling children changing the
 	// same task group — the whole expansion under GroupByExecutable — share a
 	// single cone extraction and one delta-vs-full decision. Kernel
 	// construction runs only in the search goroutine, so the cache needs no
 	// lock; plans are read-only during concurrent sampling.
-	pdspace     PlannedDeltaSpace
+	dspace      DeltaSpace
+	snaps       *snapStore
+	stats       DeltaStats
 	planCache   map[uint64][]planEntry
 	planEntries int
 
@@ -205,12 +194,9 @@ func (p *Problem) DeltaStats() DeltaStats {
 }
 
 // Compile resolves the space's capabilities against the options and returns
-// the runnable problem. The kernel dispatch is decided by probing one start
-// state: CRN kernels are preferred (shared realizations, delta sampling, any
-// device); state-keyed kernels run when the device schedules blocks; spaces
-// without a usable decomposition evaluate state-parallel via Space.Evaluate.
-// A kernel that fails to build for the probe state fails Compile — the same
-// construction would fail for the search's first batch anyway.
+// the runnable problem. The kernel shape is probed from the first start
+// state; a kernel that fails to build for the probe state fails Compile —
+// the same construction would fail for the search's first batch anyway.
 func Compile(sp Space, o Options) (*Problem, error) {
 	fillDefaults(&o)
 	// Adaptive-sampling knobs are validated here, at compile time, so a bad
@@ -242,113 +228,70 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		}
 	}
 
-	probe := p.starts[0]
-	var probeKernel probir.WorldKernel
-	if cs, ok := sp.(CRNSpace); ok {
-		k, err := cs.CRNKernel(probe, p.opts.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("opt: compiling CRN kernel: %w", err)
-		}
-		if usableKernel(k) {
-			seed := p.opts.Seed
-			p.kernel = func(st State) (probir.WorldKernel, error) { return cs.CRNKernel(st, seed) }
-			p.crn = true
-			p.worlds, p.width = k.Worlds(), k.Width()
-			probeKernel = k
-		}
+	probe, err := sp.Kernel(p.starts[0], p.opts.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("opt: compiling kernel: %w", err)
 	}
-	if p.kernel == nil {
-		if ks, ok := sp.(KernelSpace); ok {
-			if _, block := p.opts.Device.(device.BlockDevice); block {
-				k, err := ks.Kernel(probe)
-				if err != nil {
-					return nil, fmt.Errorf("opt: compiling kernel: %w", err)
-				}
-				if usableKernel(k) {
-					p.kernel = ks.Kernel
-					p.worlds, p.width = k.Worlds(), k.Width()
-					probeKernel = k
-				}
-			}
-		}
+	if probe == nil {
+		return nil, fmt.Errorf("opt: space built no kernel for its start state")
 	}
-	if o.Worlds > 0 {
-		if p.kernel == nil {
-			return nil, fmt.Errorf("opt: Options.Worlds=%d asserted, but the space has no per-world kernel decomposition", o.Worlds)
-		}
-		if p.worlds != o.Worlds {
-			return nil, fmt.Errorf("opt: Options.Worlds=%d, but the compiled kernel samples %d worlds per state", o.Worlds, p.worlds)
-		}
+	p.worlds, p.width = probe.Worlds(), probe.Width()
+	if o.Worlds > 0 && p.worlds != o.Worlds {
+		return nil, fmt.Errorf("opt: Options.Worlds=%d, but the compiled kernel samples %d worlds per state", o.Worlds, p.worlds)
 	}
 	// Adaptive precision engages only when everything it rests on is present:
 	// a kernel that can finalize from a world prefix, indicator figures that
-	// fully determine feasibility, a block device to chunk on, and a world
-	// budget the first chunk does not already cover. Otherwise the flag is
-	// inert and the problem runs the fixed path (Problem.Adaptive reports
-	// which).
-	if o.Adaptive && probeKernel != nil {
-		if _, block := o.Device.(device.BlockDevice); block && p.worlds > o.MinWorlds {
-			if pk, ok := probeKernel.(probir.PartialKernel); ok {
-				if idx, targets, okInd := pk.Indicators(); okInd && len(idx) > 0 {
-					p.adaptive = true
-					p.indIdx, p.indTargets = idx, targets
-					p.valueFig = pk.ValueFigure()
-					// Non-indicator columns need canonical (ascending world
-					// order) refolds when worlds run permuted.
-					isInd := make([]bool, p.width)
-					for _, fi := range idx {
-						if fi >= 0 && fi < p.width {
-							isInd[fi] = true
-						}
-					}
-					for w := 0; w < p.width; w++ {
-						if !isInd[w] {
-							p.valIdx = append(p.valIdx, w)
-						}
-					}
+	// fully determine feasibility, and a world budget the first chunk does
+	// not already cover. Otherwise the flag is inert and the problem runs the
+	// fixed path (Problem.Adaptive reports which).
+	if pk, ok := probe.(probir.PartialKernel); ok && o.Adaptive && p.worlds > o.MinWorlds {
+		if idx, targets, okInd := pk.Indicators(); okInd && len(idx) > 0 {
+			p.adaptive = true
+			p.indIdx, p.indTargets = idx, targets
+			p.valueFig = pk.ValueFigure()
+			// Non-indicator columns need canonical (ascending world order)
+			// refolds when worlds run permuted.
+			isInd := make([]bool, p.width)
+			for _, fi := range idx {
+				if fi >= 0 && fi < p.width {
+					isInd[fi] = true
+				}
+			}
+			for w := 0; w < p.width; w++ {
+				if !isInd[w] {
+					p.valIdx = append(p.valIdx, w)
 				}
 			}
 		}
 	}
-	// Decisive-world-first ordering engages on the adaptive CRN path only:
-	// under CRN the permutation is a pure function of (program content, seed)
-	// shared by every state, so adaptive decisions stay bit-identical across
-	// devices. A slice that is not a permutation of [0, worlds) is rejected
-	// rather than trusted — a corrupt order would silently skip worlds.
-	if p.adaptive && p.crn && !o.DisableWorldOrder {
-		if ws, ok := sp.(WorldOrderSpace); ok {
-			if ord := ws.WorldOrder(p.opts.Seed); isPermutation(ord, p.worlds) {
-				p.order = ord
-				p.rank = make([]int32, p.worlds)
-				for pos, w := range ord {
-					p.rank[w] = int32(pos)
-				}
+	// Decisive-world-first ordering engages on the adaptive path only. The
+	// permutation is a pure function of (program content, seed) shared by
+	// every state, so adaptive decisions stay bit-identical across devices. A
+	// slice that is not a permutation of [0, worlds) is rejected rather than
+	// trusted — a corrupt order would silently skip worlds.
+	if ws, ok := sp.(WorldOrderSpace); ok && p.adaptive && !o.DisableWorldOrder {
+		if ord := ws.WorldOrder(p.opts.Seed); isPermutation(ord, p.worlds) {
+			p.order = ord
+			p.rank = make([]int32, p.worlds)
+			for pos, w := range ord {
+				p.rank[w] = int32(pos)
 			}
 		}
 	}
 	p.sstats.Adaptive = p.adaptive
 	p.sstats.Ordered = p.order != nil
-	// Delta evaluation needs the CRN contract (parent finish times are only
-	// reusable when every state shares one duration matrix), transform
-	// metadata to know what changed, and an evaluation that actually has
-	// per-world finish times to snapshot.
-	if p.crn && p.opts.SnapshotBudget >= 0 {
-		ds, okD := sp.(DeltaSpace)
-		ts, okT := sp.(TransformSpace)
-		if okD && okT {
-			if probeSnap := ds.NewSnapshot(); probeSnap != nil {
-				ds.ReleaseSnapshot(probeSnap)
-				budget := p.opts.SnapshotBudget
-				if budget == 0 {
-					budget = 64 << 20
-				}
-				p.delta, p.dspace, p.tspace = true, ds, ts
-				p.snaps = newSnapStore(budget, ds.ReleaseSnapshot)
-				if pds, okP := sp.(PlannedDeltaSpace); okP {
-					p.pdspace = pds
-					p.planCache = map[uint64][]planEntry{}
-				}
+	// Delta evaluation needs an evaluation that actually has per-world
+	// finish times to snapshot.
+	if ds, ok := sp.(DeltaSpace); ok && p.opts.SnapshotBudget >= 0 {
+		if probeSnap := ds.NewSnapshot(); probeSnap != nil {
+			ds.ReleaseSnapshot(probeSnap)
+			budget := p.opts.SnapshotBudget
+			if budget == 0 {
+				budget = 64 << 20
 			}
+			p.dspace = ds
+			p.snaps = newSnapStore(budget, ds.ReleaseSnapshot)
+			p.planCache = map[uint64][]planEntry{}
 		}
 	}
 	for ph, name := range phaseNames {
@@ -372,23 +315,12 @@ func isPermutation(ord []int32, n int) bool {
 	return true
 }
 
-// usableKernel reports whether a probed kernel can drive the two-level path:
-// a nil kernel or an empty world/figure shape means there is nothing to
-// thread over and the generic path should run instead.
-func usableKernel(k probir.WorldKernel) bool {
-	return k != nil && k.Worlds() > 0 && k.Width() > 0
-}
-
 // Fingerprint returns the compiled program fingerprint (empty when the space
 // has none and caching is disabled).
 func (p *Problem) Fingerprint() string { return p.fingerprint }
 
 // Starts returns the compiled start states.
 func (p *Problem) Starts() []State { return p.starts }
-
-// Kerneled reports whether state evaluations run on the per-world kernel
-// path, and whether that path follows the common-random-number contract.
-func (p *Problem) Kerneled() (kernel, crn bool) { return p.kernel != nil, p.crn }
 
 // Adaptive reports whether state evaluations run on the adaptive-precision
 // (sequential stopping + racing) path. False either because Options.Adaptive
@@ -458,15 +390,15 @@ func (p *Problem) startCandidates() []candidate {
 	return out
 }
 
-// childCandidates expands a parent into evaluation candidates. With a
-// TransformSpace compiled in, each child carries the parent key and the
+// childCandidates expands a parent into evaluation candidates. With delta
+// evaluation compiled in, each child carries the parent key and the
 // changed-task set so the kernel path can evaluate it incrementally;
 // otherwise this is exactly Space.Neighbors (TransformNeighbors is required
 // to enumerate the same children in the same order, so the search trajectory
 // is independent of which path built the candidates).
 func (p *Problem) childCandidates(parent State, parentKey string) []candidate {
-	if p.tspace != nil {
-		trs := p.tspace.TransformNeighbors(parent)
+	if p.dspace != nil {
+		trs := p.dspace.TransformNeighbors(parent)
 		out := make([]candidate, len(trs))
 		for i, tr := range trs {
 			out[i] = candidate{state: tr.Child, key: tr.Child.Key(), parentKey: parentKey, parent: parent, dirty: tr.Tasks}
@@ -516,60 +448,56 @@ func (p *Problem) evaluateCandidates(cands []candidate) []scored {
 	return out
 }
 
-// evaluateLive scores candidates bypassing the cache, on the path Compile
-// resolved: the kernel path when the space decomposes (two-level on a
-// BlockDevice — block per state, thread per Monte-Carlo iteration — so even
-// a batch narrower than the machine saturates every worker), the generic
-// state-parallel path otherwise. Cancellation is honored at per-thread
-// granularity; results are bit-identical across devices and scheduling
-// orders because every world's figures depend only on (kernel, base,
+// evaluateLive scores candidates bypassing the cache, on the kernel path:
+// block per state, thread per Monte-Carlo iteration, so even a batch
+// narrower than the machine saturates every worker. Cancellation is honored
+// at per-thread granularity; results are bit-identical across devices and
+// scheduling orders because every world's figures depend only on (kernel,
 // iteration) and reductions fold in iteration order.
 func (p *Problem) evaluateLive(cands []candidate) []scored {
 	if p.adaptive {
-		out, ok := p.evaluateAdaptive(cands)
-		if ok {
-			return out
-		}
-		// A state's kernel drifted from the compiled shape or lost the
-		// partial-kernel capability mid-search: the batch falls back to the
-		// generic path with recorded errors preserved, same as below.
-		return p.evaluateMapMerge(cands, out)
+		return p.evaluateAdaptive(cands)
 	}
 	return p.evaluateFixed(cands)
 }
 
-// evaluateFixed is the fixed-precision path: every state runs its full world
-// budget. It is the pre-adaptive evaluateLive, kept as the routing target for
-// non-adaptive problems and for confirmBest's full re-evaluation.
-func (p *Problem) evaluateFixed(cands []candidate) []scored {
-	if p.kernel != nil {
-		out, ok := p.evaluateKernel(cands)
-		if ok {
-			return out
-		}
-		// Shape drifted: the batch falls back to the generic path, but any
-		// kernel-construction errors already recorded stay errors — a state
-		// whose kernel failed to build must surface that failure, not
-		// silently re-run under different state-keyed randomness.
-		return p.evaluateMapMerge(cands, out)
+// buildKernel constructs one candidate's world kernel. Without delta this is
+// the space's kernel. With delta, the candidate's evaluation captures a
+// snapshot, and when its parent's snapshot is retained the kernel evaluates
+// incrementally over the dirty cone; a declined delta (cone too large, parent
+// evicted) falls back to a full capturing kernel. The returned snapshot, if
+// any, is owned by the caller: stored on evaluation success, released
+// otherwise. A kernel whose shape drifts from the compiled one is an error
+// for its state alone.
+func (p *Problem) buildKernel(c candidate) (probir.WorldKernel, *probir.Snapshot, error) {
+	k, snap, err := p.routeKernel(c)
+	switch {
+	case err != nil:
+	case k == nil:
+		err = fmt.Errorf("opt: space built no kernel for state %v", c.state)
+	case k.Worlds() != p.worlds || k.Width() != p.width:
+		err = fmt.Errorf("opt: state %v kernel shape (%d worlds, %d figures) drifted from the compiled (%d, %d)",
+			c.state, k.Worlds(), k.Width(), p.worlds, p.width)
 	}
-	return p.evaluateMapMerge(cands, nil)
+	if err != nil {
+		if snap != nil {
+			p.dspace.ReleaseSnapshot(snap)
+		}
+		return nil, nil, err
+	}
+	return k, snap, nil
 }
 
-// buildKernel constructs one candidate's world kernel. Without delta this is
-// the compiled kernel builder. With delta, the candidate's evaluation
-// captures a snapshot, and when its parent's snapshot is retained the kernel
-// evaluates incrementally over the dirty cone; a declined delta (cone too
-// large, parent evicted) falls back to a full capturing kernel. The returned
-// snapshot, if any, is owned by the caller: stored on evaluation success,
-// released otherwise.
-func (p *Problem) buildKernel(c candidate) (probir.WorldKernel, *probir.Snapshot, error) {
-	if !p.delta {
-		k, err := p.kernel(c.state)
+// routeKernel picks the candidate's kernel — plain, delta, or full capturing —
+// and updates the routing counters. The snapshot is returned even on error,
+// for buildKernel to release.
+func (p *Problem) routeKernel(c candidate) (probir.WorldKernel, *probir.Snapshot, error) {
+	if p.dspace == nil {
+		k, err := p.space.Kernel(c.state, p.opts.Seed)
 		return k, nil, err
 	}
 	snap := p.dspace.NewSnapshot()
-	if snap != nil && c.parentKey != "" && len(c.dirty) > 0 {
+	if c.parentKey != "" && len(c.dirty) > 0 {
 		parent, ok := p.snaps.get(c.parentKey)
 		if !ok && c.parent != nil && p.worthDelta(c.dirty) {
 			// The parent's own evaluation stopped early (adaptive partial
@@ -583,8 +511,7 @@ func (p *Problem) buildKernel(c candidate) (probir.WorldKernel, *probir.Snapshot
 		if ok {
 			k, err := p.deltaKernel(c, parent, snap)
 			if err != nil {
-				p.dspace.ReleaseSnapshot(snap)
-				return nil, nil, err
+				return nil, snap, err
 			}
 			if k != nil {
 				p.stats.DeltaEvals++
@@ -593,53 +520,31 @@ func (p *Problem) buildKernel(c candidate) (probir.WorldKernel, *probir.Snapshot
 		}
 		p.stats.Fallbacks++
 	}
-	k, err := p.dspace.CRNKernelSnap(c.state, p.opts.Seed, snap)
-	if err != nil {
-		p.dspace.ReleaseSnapshot(snap)
-		return nil, nil, err
+	k, err := p.dspace.KernelSnap(c.state, p.opts.Seed, snap)
+	if err == nil {
+		p.stats.FullEvals++
 	}
-	p.stats.FullEvals++
-	return k, snap, nil
+	return k, snap, err
 }
 
-// deltaKernel builds the incremental kernel of one candidate: through the
-// planned path when the space supports it (one shared cone extraction per
-// distinct dirty set, cached on the problem), through per-child extraction
-// otherwise. Returns (nil, nil) when delta does not apply and the caller
-// must evaluate fully.
+// deltaKernel builds the incremental kernel of one candidate from the shared
+// cone plan of its dirty set. Returns (nil, nil) when delta does not apply
+// and the caller must evaluate fully.
 func (p *Problem) deltaKernel(c candidate, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	if p.pdspace != nil {
-		plan, err := p.planFor(c.dirty)
-		if err != nil {
-			return nil, err
-		}
-		if plan != nil {
-			if !plan.Delta() {
-				return nil, nil
-			}
-			return p.pdspace.CRNDeltaKernelPlanned(c.state, p.opts.Seed, plan, parent, snap)
-		}
-		// A nil plan means the underlying evaluator has no planned capability
-		// (the space's delegation found nothing); fall through to the legacy
-		// per-child path.
+	plan, err := p.planFor(c.dirty)
+	if err != nil {
+		return nil, err
 	}
-	return p.dspace.CRNDeltaKernel(c.state, p.opts.Seed, c.dirty, parent, snap)
+	return p.dspace.DeltaKernel(c.state, p.opts.Seed, plan, parent, snap)
 }
 
 // worthDelta reports whether a child dirtying this task set would actually
 // evaluate incrementally — the gate on regenerating a missing parent snapshot,
 // so a batch whose cones the work model rejects anyway never pays the extra
-// full evaluation. Without the planned capability the legacy per-child path
-// decides late; assume it is worth it.
+// full evaluation.
 func (p *Problem) worthDelta(dirty []int32) bool {
-	if p.pdspace == nil {
-		return true
-	}
 	plan, err := p.planFor(dirty)
-	if err != nil {
-		return false
-	}
-	return plan == nil || plan.Delta()
+	return err == nil && plan.Delta()
 }
 
 // completeParent re-evaluates an expansion parent on the fixed path to
@@ -674,7 +579,7 @@ func (p *Problem) planFor(dirty []int32) (*probir.ConePlan, error) {
 			return e.plan, nil
 		}
 	}
-	plan, err := p.pdspace.PlanCone(dirty)
+	plan, err := p.dspace.PlanCone(dirty)
 	if err != nil {
 		return nil, err
 	}
@@ -715,159 +620,77 @@ func (p *Problem) enterPhase(phase int) { pprof.SetGoroutineLabels(p.phaseCtx[ph
 
 func (p *Problem) exitPhase() { pprof.SetGoroutineLabels(p.opts.Ctx) }
 
-// releaseSnaps recycles every snapshot still held in a batch buffer back to
-// the evaluator's pool (used when a batch is abandoned mid-build).
-func (p *Problem) releaseSnaps(snaps []*probir.Snapshot) {
-	for i, sn := range snaps {
-		if sn != nil {
-			p.dspace.ReleaseSnapshot(sn)
-			snaps[i] = nil
-		}
-	}
-}
-
-// evaluateKernel is the per-world kernel path. It reports ok=false when a
-// state's kernel drifts from the compiled shape (or vanishes), in which case
-// the whole batch falls back to the generic path — the compiled shape is a
-// probe, not a guarantee, and a mixed batch must not mix paths. The returned
-// slice is valid either way: on ok=false it carries the per-state
-// construction errors recorded so far, which the fallback must preserve.
-func (p *Problem) evaluateKernel(cands []candidate) ([]scored, bool) {
-	if len(cands) == 0 {
-		return nil, false
-	}
+// evaluateFixed is the fixed-precision path: every state runs its full world
+// budget. It is the routing target for non-adaptive problems and for
+// confirmBest's and completeParent's full re-evaluations.
+func (p *Problem) evaluateFixed(cands []candidate) []scored {
 	out := make([]scored, len(cands))
 	kernels := make([]probir.WorldKernel, len(cands))
 	var snaps []*probir.Snapshot
-	if p.delta {
+	if p.dspace != nil {
 		snaps = p.getSnapBuf(len(cands))
 		defer p.putSnapBuf(snaps)
 	}
-	var bases []int64
-	if !p.crn {
-		bases = make([]int64, len(cands))
-	}
-	buildOK := true
 	p.labeled(phaseKernelBuild, func() {
 		for i, c := range cands {
 			out[i] = scored{state: c.state, key: c.key}
 			k, snap, err := p.buildKernel(c)
-			if err != nil {
-				out[i].err = err
-				continue
-			}
-			if k == nil || k.Worlds() != p.worlds || k.Width() != p.width {
-				// Shape drifted from the compiled probe. Snapshots captured
-				// for this abandoned batch are recycled; recorded errors
-				// survive in out for the fallback path to preserve.
-				if snap != nil {
-					p.dspace.ReleaseSnapshot(snap)
-				}
-				p.releaseSnaps(snaps)
-				buildOK = false
-				return
-			}
-			kernels[i] = k
+			kernels[i], out[i].err = k, err
 			if snaps != nil {
 				snaps[i] = snap
 			}
-			if !p.crn {
-				// The same substream base Evaluate would derive from its state
-				// rng, so both paths are bit-identical.
-				bases[i] = stateRng(p.opts.Seed, c.key).Int63()
-			}
 		}
 	})
-	if !buildOK {
-		return out, false
-	}
+	dev := p.opts.Device
 	p.labeled(phaseChunkEval, func() {
-		if bd, ok := p.opts.Device.(device.BlockDevice); ok {
-			sums, errs := device.ReduceBlocks(bd, len(cands), p.worlds, p.width, func(b, t int, slot []float64) error {
-				if kernels[b] == nil {
-					return nil // kernel construction already failed for this state
-				}
-				if err := p.opts.Ctx.Err(); err != nil {
-					return fmt.Errorf("opt: search cancelled: %w", err)
-				}
-				var rng *rand.Rand
-				if !p.crn {
-					rng = probir.WorldRNG(bases[b], t)
-				}
-				return kernels[b].Sample(t, rng, slot)
-			})
-			// Reductions are independent per state; run them as blocks too
-			// (CostFn objectives such as the packed plan cost do real work
-			// here).
-			bd.Map(len(cands), func(i int) {
-				if out[i].err != nil {
-					return
-				}
-				if errs[i] != nil {
-					out[i].err = errs[i]
-					return
-				}
-				out[i].eval, out[i].err = kernels[i].Reduce(sums[i*p.width : (i+1)*p.width])
-			})
-		} else {
-			// Non-block device: only the CRN path compiles here (Compile gates
-			// the state-keyed kernel path on a BlockDevice). Each state's
-			// worlds fold sequentially in iteration order — identical sums,
-			// identical results.
-			p.opts.Device.Map(len(cands), func(i int) {
-				if out[i].err != nil || kernels[i] == nil {
-					return
-				}
-				if err := p.opts.Ctx.Err(); err != nil {
-					out[i].err = fmt.Errorf("opt: search cancelled: %w", err)
-					return
-				}
-				out[i].eval, out[i].err = probir.RunCRNKernel(kernels[i])
-			})
-		}
+		sums, errs := device.ReduceBlocks(dev, len(cands), p.worlds, p.width, func(b, t int, slot []float64) error {
+			if kernels[b] == nil {
+				return nil // kernel construction already failed for this state
+			}
+			if err := p.opts.Ctx.Err(); err != nil {
+				return fmt.Errorf("opt: search cancelled: %w", err)
+			}
+			return kernels[b].Sample(t, slot)
+		})
+		// Reductions are independent per state; run them as blocks too
+		// (CostFn objectives such as the packed plan cost do real work here).
+		dev.Map(len(cands), func(i int) {
+			if out[i].err != nil {
+				return
+			}
+			if errs[i] != nil {
+				out[i].err = errs[i]
+				return
+			}
+			out[i].eval, out[i].err = kernels[i].Reduce(sums[i*p.width : (i+1)*p.width])
+		})
 	})
 	// Sampling is complete: snapshots of successfully evaluated states enter
 	// the store (possibly evicting older generations back to the pool);
 	// failed states' snapshots are recycled directly. Storing strictly after
 	// the batch finishes is what makes eviction safe — no running kernel can
 	// hold a reference to an evicted snapshot.
-	if snaps != nil {
-		p.enterPhase(phaseSnapshotPut)
-		for i, sn := range snaps {
-			if sn == nil {
-				continue
-			}
-			if out[i].err == nil && out[i].eval != nil {
-				p.snaps.put(out[i].key, sn)
-			} else {
-				p.dspace.ReleaseSnapshot(sn)
-			}
-		}
-		p.exitPhase()
-	}
-	return out, true
+	p.storeSnaps(snaps, out, func(int) bool { return true })
+	return out
 }
 
-// evaluateMapMerge is the generic evaluation path: state-level parallelism
-// over Space.Evaluate with a state-keyed rng. prior, when non-nil, carries
-// the per-state results of an abandoned kernel batch: states whose kernel
-// construction already failed keep their recorded errors instead of being
-// silently re-evaluated under different randomness (the fallback would
-// otherwise mask real construction failures).
-func (p *Problem) evaluateMapMerge(cands []candidate, prior []scored) []scored {
-	out := make([]scored, len(cands))
-	p.opts.Device.Map(len(cands), func(i int) {
-		if prior != nil && prior[i].err != nil {
-			out[i] = prior[i]
-			return
+// storeSnaps hands a finished batch's snapshots to the store — those of
+// states that evaluated successfully and that complete(i) reports ran every
+// world — and recycles the rest.
+func (p *Problem) storeSnaps(snaps []*probir.Snapshot, out []scored, complete func(i int) bool) {
+	if snaps == nil {
+		return
+	}
+	p.enterPhase(phaseSnapshotPut)
+	for i, sn := range snaps {
+		if sn == nil {
+			continue
 		}
-		c := cands[i]
-		if err := p.opts.Ctx.Err(); err != nil {
-			out[i] = scored{state: c.state, key: c.key, err: fmt.Errorf("opt: search cancelled: %w", err)}
-			return
+		if out[i].err == nil && out[i].eval != nil && complete(i) {
+			p.snaps.put(out[i].key, sn)
+		} else {
+			p.dspace.ReleaseSnapshot(sn)
 		}
-		ev, err := p.space.Evaluate(c.state, stateRng(p.opts.Seed, c.key))
-		out[i] = scored{state: c.state, key: c.key, eval: ev, err: err}
-	})
-	return out
+	}
+	p.exitPhase()
 }

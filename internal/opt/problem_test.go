@@ -3,7 +3,6 @@ package opt
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -11,9 +10,33 @@ import (
 	"deco/internal/probir"
 )
 
-// fakeKernel is a one-figure kernel whose reduced value marks the kernel
-// path: Value = state component. The map path's marker is 1000 + component
-// (fakeSpace.Evaluate), so tests can tell which path scored a state.
+// scoreKernel is the single-world kernel of the synthetic test spaces: Sample
+// runs the space's scoring function — so its cost lands on the device, where
+// cancellation is honored per thread — and the figures carry the evaluation
+// (value, violation, feasible).
+type scoreKernel struct {
+	score func() (*probir.Evaluation, error)
+}
+
+func (k scoreKernel) Worlds() int { return 1 }
+func (k scoreKernel) Width() int  { return 3 }
+func (k scoreKernel) Sample(_ int, out []float64) error {
+	ev, err := k.score()
+	if err != nil {
+		return err
+	}
+	out[0], out[1] = ev.Value, ev.Violation
+	if ev.Feasible {
+		out[2] = 1
+	}
+	return nil
+}
+func (k scoreKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
+	return &probir.Evaluation{Value: sums[0], Violation: sums[1], Feasible: sums[2] == 1}, nil
+}
+
+// fakeKernel is a one-figure kernel whose reduced value is the state
+// component.
 type fakeKernel struct {
 	worlds, width int
 	val           float64
@@ -21,7 +44,7 @@ type fakeKernel struct {
 
 func (k *fakeKernel) Worlds() int { return k.worlds }
 func (k *fakeKernel) Width() int  { return k.width }
-func (k *fakeKernel) Sample(it int, _ *rand.Rand, out []float64) error {
+func (k *fakeKernel) Sample(it int, out []float64) error {
 	out[0] = k.val
 	return nil
 }
@@ -29,7 +52,7 @@ func (k *fakeKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
 	return &probir.Evaluation{Value: sums[0] / float64(k.worlds), Feasible: true}, nil
 }
 
-// fakeSpace drives the kernel-fallback machinery: a state's first component
+// fakeSpace drives the kernel-error machinery: a state's first component
 // selects its kernel-construction behavior — 0 mod 3 builds a normal kernel,
 // 1 mod 3 fails construction, 2 mod 3 drifts from the compiled shape.
 type fakeSpace struct{}
@@ -38,10 +61,7 @@ var errFakeBuild = errors.New("fake kernel construction failure")
 
 func (fakeSpace) Initial() State            { return State{0} }
 func (fakeSpace) Neighbors(s State) []State { return nil }
-func (fakeSpace) Evaluate(s State, rng *rand.Rand) (*probir.Evaluation, error) {
-	return &probir.Evaluation{Value: 1000 + float64(s[0]), Feasible: true}, nil
-}
-func (fakeSpace) CRNKernel(s State, base int64) (probir.WorldKernel, error) {
+func (fakeSpace) Kernel(s State, seed int64) (probir.WorldKernel, error) {
 	switch s[0] % 3 {
 	case 1:
 		return nil, fmt.Errorf("state %d: %w", s[0], errFakeBuild)
@@ -58,9 +78,6 @@ func TestKernelConstructionErrorSurfaces(t *testing.T) {
 	p, err := Compile(fakeSpace{}, Options{Device: device.Sequential{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if k, crn := p.Kerneled(); !k || !crn {
-		t.Fatalf("fake space should compile CRN-kerneled, got kernel=%v crn=%v", k, crn)
 	}
 	cands := []candidate{
 		{state: State{0}, key: State{0}.Key()},
@@ -79,37 +96,40 @@ func TestKernelConstructionErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestKernelDriftFallbackPreservesErrors is the regression test for the
-// drifted-batch bug: when one state's kernel shape drifts from the compiled
-// probe the whole batch falls back to the generic map path — but a state
-// whose kernel construction FAILED must keep its error rather than silently
-// re-running (and succeeding) under different state-keyed randomness.
-func TestKernelDriftFallbackPreservesErrors(t *testing.T) {
+// TestKernelDriftIsPerStateError pins the one-path contract: a state whose
+// kernel shape drifts from the compiled probe fails alone — its batch
+// siblings still evaluate on the kernel path, and a state whose kernel
+// construction failed keeps its own error.
+func TestKernelDriftIsPerStateError(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		p, err := Compile(fakeSpace{}, Options{Device: device.Sequential{}, Seed: 3, Adaptive: adaptive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := []candidate{
+			{state: State{0}, key: State{0}.Key()}, // normal kernel
+			{state: State{1}, key: State{1}.Key()}, // construction error
+			{state: State{2}, key: State{2}.Key()}, // drifted shape
+			{state: State{6}, key: State{6}.Key()}, // normal kernel, after the drift
+		}
+		out := p.evaluateCandidates(cands)
+		for _, i := range []int{0, 3} {
+			want := float64(cands[i].state[0])
+			if out[i].err != nil || out[i].eval == nil || out[i].eval.Value != want {
+				t.Fatalf("state %v: want kernel value %v, got %+v (err %v)",
+					cands[i].state, want, out[i].eval, out[i].err)
+			}
+		}
+		if !errors.Is(out[1].err, errFakeBuild) || out[1].eval != nil {
+			t.Fatalf("errored state: want construction error, got eval %+v err %v", out[1].eval, out[1].err)
+		}
+		if out[2].err == nil || !strings.Contains(out[2].err.Error(), "drifted") || out[2].eval != nil {
+			t.Fatalf("drifted state: want shape error, got eval %+v err %v", out[2].eval, out[2].err)
+		}
+	}
 	p, err := Compile(fakeSpace{}, Options{Device: device.Sequential{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	cands := []candidate{
-		{state: State{0}, key: State{0}.Key()}, // normal kernel
-		{state: State{1}, key: State{1}.Key()}, // construction error
-		{state: State{2}, key: State{2}.Key()}, // drifted shape -> batch fallback
-		{state: State{6}, key: State{6}.Key()}, // normal kernel, after the drift
-	}
-	out := p.evaluateCandidates(cands)
-	// Drift sends survivors to the map path (marker 1000+x), consistently.
-	for _, i := range []int{0, 2, 3} {
-		want := 1000 + float64(cands[i].state[0])
-		if out[i].err != nil || out[i].eval == nil || out[i].eval.Value != want {
-			t.Fatalf("state %v: want map value %v, got %+v (err %v)",
-				cands[i].state, want, out[i].eval, out[i].err)
-		}
-	}
-	if !errors.Is(out[1].err, errFakeBuild) {
-		t.Fatalf("errored state lost its construction error in the fallback: eval %+v err %v",
-			out[1].eval, out[1].err)
-	}
-	if out[1].eval != nil {
-		t.Fatalf("errored state produced an evaluation via the map path: %+v", out[1].eval)
 	}
 	// The search surface rejects the batch with the construction error.
 	if _, err := p.EvaluateStates([]State{{0}, {1}, {2}}); !errors.Is(err, errFakeBuild) {
@@ -141,10 +161,10 @@ func deltaProblem(t *testing.T, budget int64) (*Problem, *Problem, *ScheduleSpac
 // bit-identically to the delta-disabled problem.
 func TestEvaluateExpansionDeltaMatchesFull(t *testing.T) {
 	on, off, _ := deltaProblem(t, 0)
-	if !on.delta {
+	if on.dspace == nil {
 		t.Fatal("problem did not compile with delta evaluation")
 	}
-	if off.delta {
+	if off.dspace != nil {
 		t.Fatal("SnapshotBudget -1 did not disable delta")
 	}
 
@@ -247,7 +267,7 @@ func TestSearchDeltaInvariance(t *testing.T) {
 	}
 }
 
-// TestTransformNeighborsMatchesNeighbors pins the TransformSpace contract:
+// TestTransformNeighborsMatchesNeighbors pins the DeltaSpace neighbor contract:
 // same children, same order, and Tasks lists exactly the changed indices.
 func TestTransformNeighborsMatchesNeighbors(t *testing.T) {
 	w := cpuChain(t, 5, 100)

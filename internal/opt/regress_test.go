@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"deco/internal/device"
@@ -10,9 +9,8 @@ import (
 )
 
 // graphSpace is a synthetic single-component search space: states are
-// one-element vectors, transitions and evaluations come from explicit maps.
-// It is deliberately NOT a KernelSpace, so searches run the generic
-// evaluation path.
+// one-element vectors, transitions and evaluations come from explicit maps,
+// scored by a single-world kernel.
 type graphSpace struct {
 	values    map[int]float64
 	violation map[int]float64 // >0 marks the state infeasible
@@ -30,7 +28,11 @@ func (g *graphSpace) Neighbors(s State) []State {
 	return out
 }
 
-func (g *graphSpace) Evaluate(s State, _ *rand.Rand) (*probir.Evaluation, error) {
+func (g *graphSpace) Kernel(s State, _ int64) (probir.WorldKernel, error) {
+	return scoreKernel{func() (*probir.Evaluation, error) { return g.score(s) }}, nil
+}
+
+func (g *graphSpace) score(s State) (*probir.Evaluation, error) {
 	x := s[0]
 	v, ok := g.values[x]
 	if !ok {

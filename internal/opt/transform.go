@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"deco/internal/dag"
@@ -163,7 +162,7 @@ func (s *ScheduleSpace) Starts() []State {
 	return starts
 }
 
-// TransformNeighbors implements TransformSpace: one child per (group,
+// TransformNeighbors implements DeltaSpace: one child per (group,
 // enabled direction), as in Figure 5b where each child promotes one task,
 // plus one whole-workflow shift per direction, each annotated with the
 // operation and the exact task indices whose type changed. The global shift
@@ -225,145 +224,76 @@ func (s *ScheduleSpace) Neighbors(st State) []State {
 	return out
 }
 
-// Evaluate implements Space.
-func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, error) {
-	ev, err := s.Eval.Evaluate(st, rng)
-	if err != nil || s.CostFn == nil {
-		return ev, err
+// Kernel implements Space: the evaluator's per-world kernel, with any CostFn
+// objective applied at reduction time. The Prolog interpreter samples its
+// exetime facts per world rather than from CRN rows, so its worlds draw from
+// the state-keyed substream StateBase(seed, st); every other evaluator
+// shares the search seed's common random numbers across states.
+func (s *ScheduleSpace) Kernel(st State, seed int64) (probir.WorldKernel, error) {
+	base := seed
+	if _, stateKeyed := s.Eval.(*probir.Prolog); stateKeyed {
+		base = StateBase(seed, st)
 	}
-	v, err := s.CostFn(st)
-	if err != nil {
-		return nil, err
-	}
-	ev.Value = v
-	return ev, nil
+	k, err := s.Eval.Kernel(st, base)
+	return s.withCost(st, k, err)
 }
 
-// Kernel implements KernelSpace: the evaluator's per-world kernel, when it
-// has one, with any CostFn objective applied at reduction time exactly as
-// Evaluate applies it after the Monte-Carlo loop.
-func (s *ScheduleSpace) Kernel(st State) (probir.WorldKernel, error) {
-	ke, ok := s.Eval.(probir.KernelEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := ke.Kernel(st)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// CRNKernel implements CRNSpace: the evaluator's common-random-number
-// kernel, when it has one, with any CostFn objective applied at reduction
-// time exactly as Evaluate applies it after the Monte-Carlo loop.
-func (s *ScheduleSpace) CRNKernel(st State, base int64) (probir.WorldKernel, error) {
-	ce, ok := s.Eval.(probir.CRNEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := ce.CRNKernel(st, base)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// NewSnapshot implements DeltaSpace: a pooled finish-time snapshot from the
-// evaluator, or nil when the evaluator cannot delta (which disables delta
-// evaluation at Compile time).
+// NewSnapshot implements DeltaSpace: a pooled finish-time snapshot from a
+// Native evaluator, or nil when the evaluator cannot delta (which disables
+// delta evaluation at Compile time).
 func (s *ScheduleSpace) NewSnapshot() *probir.Snapshot {
-	if de, ok := s.Eval.(probir.DeltaEvaluator); ok {
-		return de.NewSnapshot()
+	if n, ok := s.Eval.(*probir.Native); ok {
+		return n.NewSnapshot()
 	}
 	return nil
 }
+
+// The remaining DeltaSpace methods run only after NewSnapshot returned a
+// snapshot, i.e. when the evaluator is a *probir.Native.
 
 // ReleaseSnapshot implements DeltaSpace.
 func (s *ScheduleSpace) ReleaseSnapshot(sn *probir.Snapshot) {
-	if de, ok := s.Eval.(probir.DeltaEvaluator); ok {
-		de.ReleaseSnapshot(sn)
-	}
+	s.Eval.(*probir.Native).ReleaseSnapshot(sn)
 }
 
-// CRNKernelSnap implements DeltaSpace: CRNKernel with snapshot capture, with
-// any CostFn objective applied at reduction time exactly as Evaluate applies
-// it after the Monte-Carlo loop. Capture happens inside the wrapped kernel's
-// Sample, so the CostFn wrapper never affects the snapshot.
-func (s *ScheduleSpace) CRNKernelSnap(st State, base int64, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	de, ok := s.Eval.(probir.DeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := de.CRNKernelSnap(st, base, snap)
-	if err != nil || k == nil {
+// KernelSnap implements DeltaSpace. Capture happens inside the evaluator
+// kernel's Sample, so the CostFn wrapper never affects the snapshot.
+func (s *ScheduleSpace) KernelSnap(st State, seed int64, snap *probir.Snapshot) (probir.WorldKernel, error) {
+	k, err := s.Eval.(*probir.Native).KernelSnap(st, seed, snap)
+	return s.withCost(st, k, err)
+}
+
+// PlanCone implements DeltaSpace.
+func (s *ScheduleSpace) PlanCone(dirty []int32) (*probir.ConePlan, error) {
+	return s.Eval.(*probir.Native).PlanCone(dirty)
+}
+
+// DeltaKernel implements DeltaSpace: the evaluator's incremental kernel (nil
+// when delta does not apply for this transition), with any CostFn objective
+// applied at reduction time.
+func (s *ScheduleSpace) DeltaKernel(st State, seed int64, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
+	k, err := s.Eval.(*probir.Native).DeltaKernel(st, seed, plan, parent, snap)
+	return s.withCost(st, k, err)
+}
+
+// withCost applies the CostFn objective to a built kernel of st (identity
+// without a CostFn; nil kernels and errors pass through).
+func (s *ScheduleSpace) withCost(st State, k probir.WorldKernel, err error) (probir.WorldKernel, error) {
+	if err != nil || k == nil || s.CostFn == nil {
 		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
 	}
 	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
 }
 
-// CRNDeltaKernel implements DeltaSpace: the evaluator's incremental kernel
-// (nil when delta does not apply for this transition), with any CostFn
-// objective applied at reduction time.
-func (s *ScheduleSpace) CRNDeltaKernel(st State, base int64, dirty []int32, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	de, ok := s.Eval.(probir.DeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := de.CRNDeltaKernel(st, base, dirty, parent, snap)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// WorldOrder implements WorldOrderSpace: the evaluator's decisive-world-first
-// permutation, when it has one. The CostFn never affects it — ordering is a
-// property of the Monte-Carlo worlds, and the CostFn only rewrites the
+// WorldOrder implements WorldOrderSpace: a Native evaluator's
+// decisive-world-first permutation. The CostFn never affects it — ordering
+// is a property of the Monte-Carlo worlds, and the CostFn only rewrites the
 // reduced goal value.
-func (s *ScheduleSpace) WorldOrder(base int64) []int32 {
-	if wo, ok := s.Eval.(probir.WorldOrderer); ok {
-		return wo.WorldOrder(base)
+func (s *ScheduleSpace) WorldOrder(seed int64) []int32 {
+	if n, ok := s.Eval.(*probir.Native); ok {
+		return n.WorldOrder(seed)
 	}
 	return nil
-}
-
-// PlanCone implements PlannedDeltaSpace.
-func (s *ScheduleSpace) PlanCone(dirty []int32) (*probir.ConePlan, error) {
-	de, ok := s.Eval.(probir.PlannedDeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	return de.PlanCone(dirty)
-}
-
-// CRNDeltaKernelPlanned implements PlannedDeltaSpace: the evaluator's planned
-// incremental kernel, with any CostFn objective applied at reduction time.
-func (s *ScheduleSpace) CRNDeltaKernelPlanned(st State, base int64, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	de, ok := s.Eval.(probir.PlannedDeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := de.CRNDeltaKernelPlanned(st, base, plan, parent, snap)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
 }
 
 // Fingerprint implements FingerprintSpace: the evaluator's program
@@ -387,9 +317,9 @@ func (s *ScheduleSpace) Fingerprint() string {
 	return fp
 }
 
-// costFnKernel replaces the reduced goal value with the plan-level cost,
-// mirroring ScheduleSpace.Evaluate. The cost runs inside Reduce, which the
-// solver schedules per-state on the device, so packing stays parallel.
+// costFnKernel replaces the reduced goal value with the plan-level cost. The
+// cost runs inside Reduce, which the solver schedules per-state on the
+// device, so packing stays parallel.
 type costFnKernel struct {
 	probir.WorldKernel
 	fn func(State) (float64, error)

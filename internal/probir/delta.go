@@ -64,9 +64,6 @@ type ConePlan struct {
 // valid description of the cone).
 func (cp *ConePlan) Delta() bool { return cp.delta }
 
-// ConeSize returns the number of tasks in the dirty cone.
-func (cp *ConePlan) ConeSize() int { return len(cp.cone) }
-
 // Snapshot holds one state's per-world finish times — finish[it*n+task] —
 // plus each world's makespan and argmax task. A snapshot is written by a
 // capturing or delta kernel as its worlds run (disjoint slices per world, so
@@ -87,46 +84,6 @@ func (s *Snapshot) Bytes() int64 {
 	return int64(len(s.finish))*8 + int64(len(s.ms))*8 + int64(len(s.amax))*4
 }
 
-// DeltaEvaluator is a CRNEvaluator that can additionally capture per-world
-// finish-time snapshots and evaluate a neighbor configuration incrementally
-// from its parent's snapshot.
-type DeltaEvaluator interface {
-	CRNEvaluator
-	// NewSnapshot returns a pooled snapshot sized for this evaluator, or nil
-	// when evaluation involves no per-world finish times (nothing to reuse).
-	NewSnapshot() *Snapshot
-	// ReleaseSnapshot returns a snapshot to the pool. The caller must hold
-	// no kernel built against it.
-	ReleaseSnapshot(s *Snapshot)
-	// CRNKernelSnap is CRNKernel, additionally recording every world's
-	// finish times into snap (which must come from NewSnapshot; nil degrades
-	// to CRNKernel). The snapshot is valid once the kernel has run all
-	// worlds.
-	CRNKernelSnap(config []int, base int64, snap *Snapshot) (WorldKernel, error)
-	// CRNDeltaKernel builds a kernel that evaluates config by reusing the
-	// parent snapshot, recomputing only the cone of the dirty tasks — the
-	// tasks whose (task, type) assignment differs from the parent's — and
-	// capturing the result into snap so it can parent further deltas.
-	// Returns (nil, nil) when delta does not apply (no parent, base
-	// mismatch, or cone too large): the caller must then evaluate fully.
-	// The caller is responsible for dirty being exactly the set of tasks on
-	// which config and the parent's configuration differ.
-	CRNDeltaKernel(config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error)
-}
-
-// PlannedDeltaEvaluator is a DeltaEvaluator whose dirty-cone extraction can
-// be hoisted into a reusable ConePlan: callers that expand many children off
-// one parent plan each distinct dirty set once and build every sibling's
-// kernel from the shared plan.
-type PlannedDeltaEvaluator interface {
-	DeltaEvaluator
-	// PlanCone extracts one dirty set's cone into an immutable plan.
-	PlanCone(dirty []int32) (*ConePlan, error)
-	// CRNDeltaKernelPlanned is CRNDeltaKernel with the plan precomputed; the
-	// kernel borrows the plan's cone and dirty mask read-only.
-	CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error)
-}
-
 // needsMSSampling reports whether evaluation samples per-world makespans —
 // the precondition for finish-time snapshots to exist at all.
 func (n *Native) needsMSSampling() bool {
@@ -141,9 +98,10 @@ func (n *Native) needsMSSampling() bool {
 	return false
 }
 
-// NewSnapshot implements DeltaEvaluator. Snapshots are pooled per Native;
-// the returned snapshot's contents are undefined until a capturing kernel
-// has run.
+// NewSnapshot returns a pooled snapshot sized for this evaluator, or nil when
+// evaluation involves no per-world finish times (nothing to reuse). The
+// returned snapshot's contents are undefined until a capturing kernel has
+// run.
 func (n *Native) NewSnapshot() *Snapshot {
 	if !n.needsMSSampling() {
 		return nil
@@ -174,7 +132,8 @@ func (n *Native) NewSnapshot() *Snapshot {
 // anything beyond goes to the GC.
 const snapFreeCap = 256
 
-// ReleaseSnapshot implements DeltaEvaluator.
+// ReleaseSnapshot returns a snapshot to the pool. The caller must hold no
+// kernel built against it.
 func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	if s == nil {
 		return
@@ -186,9 +145,11 @@ func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	n.snapMu.Unlock()
 }
 
-// CRNKernelSnap implements DeltaEvaluator.
-func (n *Native) CRNKernelSnap(config []int, base int64, snap *Snapshot) (WorldKernel, error) {
-	k, err := n.newCRNKernel(config, base)
+// KernelSnap is Kernel, additionally recording every world's finish times
+// into snap (which must come from NewSnapshot; nil degrades to Kernel). The
+// snapshot is valid once the kernel has run all worlds.
+func (n *Native) KernelSnap(config []int, base int64, snap *Snapshot) (WorldKernel, error) {
+	k, err := n.newKernel(config, base)
 	if err != nil {
 		return nil, err
 	}
@@ -240,36 +201,30 @@ func (n *Native) PlanCone(dirty []int32) (*ConePlan, error) {
 	return cp, nil
 }
 
-// CRNDeltaKernelPlanned is CRNDeltaKernel with the cone extraction hoisted
-// out: the kernel borrows the plan's cone and dirty mask (read-only) instead
-// of extracting and owning copies, so building a sibling's kernel allocates
-// nothing cone-related. Returns (nil, nil) when delta does not apply — the
-// plan's work model declined, there is no parent snapshot, or the snapshot
-// shapes/base do not line up — and the caller must then evaluate fully. The
-// plan must come from PlanCone over exactly the tasks on which config and
-// the parent's configuration differ.
-func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error) {
-	if plan == nil || !plan.delta || parent == nil || snap == nil || !n.needsMSSampling() {
-		return nil, nil
-	}
+// DeltaKernel builds a kernel that evaluates config by reusing the parent
+// snapshot, recomputing only the plan's cone, and capturing the result into
+// snap so it can parent further deltas. The kernel borrows the plan's cone
+// and dirty mask read-only, so building a sibling's kernel from a shared plan
+// allocates nothing cone-related. Returns (nil, nil) when delta does not
+// apply (the plan's work model declined, there is no parent or capture
+// snapshot, or the parent was captured under another base): the caller must
+// then evaluate fully. The plan must cover exactly the tasks on which config
+// and the parent's configuration differ.
+func (n *Native) DeltaKernel(config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error) {
 	nt := n.W.Len()
 	if plan.n != nt {
 		return nil, fmt.Errorf("probir: cone plan for %d tasks, want %d", plan.n, nt)
 	}
-	if parent.base != base || parent.n != nt || parent.worlds != n.Iters {
+	if !plan.delta || parent == nil || snap == nil || parent.base != base || parent.n != nt || parent.worlds != n.Iters {
 		return nil, nil
 	}
 	if snap.n != nt || snap.worlds != n.Iters {
 		return nil, fmt.Errorf("probir: snapshot shape (%d tasks, %d worlds), want (%d, %d)",
 			snap.n, snap.worlds, nt, n.Iters)
 	}
-	k, err := n.newCRNKernel(config, base)
+	k, err := n.newKernel(config, base)
 	if err != nil {
 		return nil, err
-	}
-	if !k.needMS {
-		// Nothing to delta (no makespan figures); run it as a plain kernel.
-		return k, nil
 	}
 	snap.base = base
 	k.capture = snap
@@ -278,29 +233,6 @@ func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan,
 	k.dirtyMask = plan.dirtyMask
 	k.lastDirty = plan.lastDirty
 	return k, nil
-}
-
-// CRNDeltaKernel implements DeltaEvaluator: PlanCone + CRNDeltaKernelPlanned
-// for callers without a plan cache. Each call re-extracts the cone; the
-// solver's compiled pipeline uses the planned form with a shared plan per
-// dirty set instead.
-func (n *Native) CRNDeltaKernel(config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error) {
-	if parent == nil || snap == nil || !n.needsMSSampling() {
-		return nil, nil
-	}
-	if len(dirty) == 0 {
-		// An identical configuration is not a delta; let the caller's eval
-		// cache or full path handle it.
-		return nil, nil
-	}
-	plan, err := n.PlanCone(dirty)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.delta {
-		return nil, nil
-	}
-	return n.CRNDeltaKernelPlanned(config, base, plan, parent, snap)
 }
 
 // sampleDeltaMS computes world it's makespan incrementally: copy the

@@ -102,11 +102,11 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 	if snap == nil {
 		t.Fatal("NewSnapshot returned nil for a makespan-sampling Native")
 	}
-	k, err := n.CRNKernelSnap(config, base, snap)
+	k, err := n.KernelSnap(config, base, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCRNKernel(k); err != nil {
+	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +136,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 		}
 
 		childSnap := n.NewSnapshot()
-		dk, err := n.CRNDeltaKernel(next, base, dirty, snap, childSnap)
+		dk, err := deltaKernel(n, next, base, dirty, snap, childSnap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,16 +147,16 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 		if dk == nil {
 			// Structural fallback (cone too large for this mutation); the
 			// chain continues from a fresh full capture.
-			fk, err := n.CRNKernelSnap(next, base, childSnap)
+			fk, err := n.KernelSnap(next, base, childSnap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunCRNKernel(fk); err != nil {
+			if _, err := RunKernel(fk); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			deltas++
-			dev, err := RunCRNKernel(dk)
+			dev, err := RunKernel(dk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,11 +165,11 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 			// The delta-written snapshot must equal a full capture bit for
 			// bit — it parents the next step.
 			ref := n.NewSnapshot()
-			rk, err := n.CRNKernelSnap(next, base, ref)
+			rk, err := n.KernelSnap(next, base, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunCRNKernel(rk); err != nil {
+			if _, err := RunKernel(rk); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ref.finish {
@@ -205,11 +205,11 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	config := make([]int, n.W.Len())
 
 	snap := n.NewSnapshot()
-	k, err := n.CRNKernelSnap(config, base, snap)
+	k, err := n.KernelSnap(config, base, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCRNKernel(k); err != nil {
+	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,20 +219,20 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	next := append([]int(nil), config...)
 	next[d1], next[d2] = 1, 2
 	seqSnap := n.NewSnapshot()
-	sk, err := n.CRNDeltaKernel(next, base, []int32{d1, d2}, snap, seqSnap)
+	sk, err := deltaKernel(n, next, base, []int32{d1, d2}, snap, seqSnap)
 	if err != nil || sk == nil {
 		t.Fatalf("sequential delta kernel: %v (nil=%v)", err, sk == nil)
 	}
 	want := make([][]float64, sk.Worlds())
 	for it := range want {
 		want[it] = make([]float64, sk.Width())
-		if err := sk.Sample(it, nil, want[it]); err != nil {
+		if err := sk.Sample(it, want[it]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	parSnap := n.NewSnapshot()
-	pk, err := n.CRNDeltaKernel(next, base, []int32{d1, d2}, snap, parSnap)
+	pk, err := deltaKernel(n, next, base, []int32{d1, d2}, snap, parSnap)
 	if err != nil || pk == nil {
 		t.Fatalf("parallel delta kernel: %v (nil=%v)", err, pk == nil)
 	}
@@ -244,7 +244,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 			defer wg.Done()
 			for it := g; it < pk.Worlds(); it += 8 {
 				out := make([]float64, pk.Width())
-				if err := pk.Sample(it, nil, out); err != nil {
+				if err := pk.Sample(it, out); err != nil {
 					t.Error(err)
 					return
 				}
@@ -263,7 +263,17 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbacks pins the cases where CRNDeltaKernel must decline
+// deltaKernel plans the dirty set's cone and builds the incremental kernel
+// over it, the way the solver does for a child without a cached plan.
+func deltaKernel(n *Native, config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error) {
+	plan, err := n.PlanCone(dirty)
+	if err != nil {
+		return nil, err
+	}
+	return n.DeltaKernel(config, base, plan, parent, snap)
+}
+
+// TestDeltaFallbacks pins the cases where DeltaKernel must decline
 // (nil, nil) — the caller's cue to evaluate fully — versus hard-error.
 func TestDeltaFallbacks(t *testing.T) {
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2500}}
@@ -272,29 +282,30 @@ func TestDeltaFallbacks(t *testing.T) {
 	config := make([]int, n.W.Len())
 
 	snap := n.NewSnapshot()
-	k, _ := n.CRNKernelSnap(config, base, snap)
-	if _, err := RunCRNKernel(k); err != nil {
+	k, _ := n.KernelSnap(config, base, snap)
+	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 	child := n.NewSnapshot()
 
-	if dk, err := n.CRNDeltaKernel(config, base, []int32{0}, nil, child); dk != nil || err != nil {
+	if dk, err := deltaKernel(n, config, base, []int32{0}, nil, child); dk != nil || err != nil {
 		t.Fatalf("nil parent: want (nil, nil), got (%v, %v)", dk, err)
 	}
-	if dk, err := n.CRNDeltaKernel(config, base+1, []int32{0}, snap, child); dk != nil || err != nil {
+	if dk, err := deltaKernel(n, config, base+1, []int32{0}, snap, child); dk != nil || err != nil {
 		t.Fatalf("base mismatch: want (nil, nil), got (%v, %v)", dk, err)
 	}
-	if dk, err := n.CRNDeltaKernel(config, base, nil, snap, child); dk != nil || err != nil {
-		t.Fatalf("empty dirty: want (nil, nil), got (%v, %v)", dk, err)
+	// An identical configuration is not a delta: there is no cone to plan.
+	if _, err := n.PlanCone(nil); err == nil {
+		t.Fatal("empty dirty set: want PlanCone error")
 	}
 	all := make([]int32, n.W.Len())
 	for i := range all {
 		all[i] = int32(i)
 	}
-	if dk, err := n.CRNDeltaKernel(config, base, all, snap, child); dk != nil || err != nil {
+	if dk, err := deltaKernel(n, config, base, all, snap, child); dk != nil || err != nil {
 		t.Fatalf("full-width dirty set: want structural fallback (nil, nil), got (%v, %v)", dk, err)
 	}
-	if _, err := n.CRNDeltaKernel(config, base, []int32{int32(n.W.Len())}, snap, child); err == nil {
+	if _, err := deltaKernel(n, config, base, []int32{int32(n.W.Len())}, snap, child); err == nil {
 		t.Fatal("out-of-range dirty task: want error")
 	}
 

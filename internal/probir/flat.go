@@ -29,8 +29,9 @@ import (
 //   - State-vs-state comparisons see the same randomness, cutting the
 //     Monte-Carlo variance of score differences.
 //   - Results depend only on (program, base seed, configuration); kernels
-//     built from a Program ignore the per-world rng entirely, so devices may
-//     run worlds in any order or in parallel and fold bit-identically.
+//     built from a Program read world it's draws from the shared rows, so
+//     devices may run worlds in any order or in parallel and fold
+//     bit-identically.
 
 // crnSeed derives the rng seed of one (task, type) duration row from the
 // search-level base seed (splitmix64-style finalizer over a distinct stream
@@ -252,48 +253,15 @@ func (n *Native) program(base int64) *Program {
 	return p
 }
 
-// CRNEvaluator is an Evaluator whose Monte-Carlo evaluation can run under
-// the common-random-number contract: kernels built by CRNKernel share one
-// duration matrix per base seed and ignore the per-world rng (Sample may be
-// called with a nil rng).
-type CRNEvaluator interface {
-	Evaluator
-	// CRNKernel builds the per-world kernel of one configuration under the
-	// CRN base seed.
-	CRNKernel(config []int, base int64) (WorldKernel, error)
-}
-
-// RunCRNKernel executes a CRN kernel's worlds sequentially and reduces them,
-// accumulating in iteration order — the reference semantics every device
-// execution must (and does) match bit-identically. The kernel must have been
-// built by a CRNKernel call (its Sample ignores the rng).
-func RunCRNKernel(k WorldKernel) (*Evaluation, error) {
-	width := k.Width()
-	sums := make([]float64, width)
-	tmp := make([]float64, width)
-	for it := 0; it < k.Worlds(); it++ {
-		for w := range tmp {
-			tmp[w] = 0
-		}
-		if err := k.Sample(it, nil, tmp); err != nil {
-			return nil, err
-		}
-		for w := range tmp {
-			sums[w] += tmp[w]
-		}
-	}
-	return k.Reduce(sums)
-}
-
 // EvaluateCRN evaluates one configuration under the CRN contract with the
 // given base seed. Two calls with equal (program, base, config) return
 // bit-identical evaluations regardless of device or interleaving.
 func (n *Native) EvaluateCRN(config []int, base int64) (*Evaluation, error) {
-	k, err := n.CRNKernel(config, base)
+	k, err := n.Kernel(config, base)
 	if err != nil {
 		return nil, err
 	}
-	return RunCRNKernel(k)
+	return RunKernel(k)
 }
 
 // hashFloats writes float64s to a hash in a fixed binary form.

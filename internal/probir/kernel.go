@@ -13,39 +13,31 @@ import (
 // worlds, so the reduction is exactly the shared-memory block sum of §5.2,
 // and a device may run the worlds of one state in any order or in parallel.
 //
-// Determinism: the canonical contract for Native programs is common random
-// numbers (flat.go) — duration draws are keyed by (task, type, iteration)
-// against a search-level base seed, kernels ignore the per-world rng, and
-// every state in a search shares the same world realizations. Kernels that
-// cannot share realizations (the Prolog interpreter, the runtime's
-// conditioned residual kernels) instead draw world `it` from
-// WorldRNG(base, it), a substream keyed by (state, iteration). Under either
-// contract a world's figures depend only on (kernel, base, it), so results
-// are bit-identical whether the worlds ran sequentially, state-parallel, or
-// two-level on a device.
+// Determinism: a kernel owns its draws. It is built against a base seed and
+// world it's figures depend only on (kernel, it). Native kernels read common
+// random numbers (flat.go): duration draws keyed by (task, type, iteration)
+// against the search-level base, shared by every state in a search. Kernels
+// that cannot share realizations (the Prolog interpreter, the runtime's
+// conditioned residual kernels) take a per-state base instead and draw world
+// it from WorldRNG(base, it). Either way results are bit-identical whether
+// the worlds ran sequentially, state-parallel, or two-level on a device.
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
 type WorldKernel interface {
 	// Worlds is the number of Monte-Carlo iterations (threads per block).
-	// 0 means the evaluation is deterministic and needs no sampled worlds.
+	// 0 means the evaluation is deterministic and needs no sampled worlds;
+	// Reduce then folds zero sums.
 	Worlds() int
 	// Width is the number of figures each world produces.
 	Width() int
 	// Sample computes world it into out (len Width(), zeroed). It must be
-	// safe for concurrent calls with distinct it and draw only from rng.
-	Sample(it int, rng *rand.Rand, out []float64) error
+	// safe for concurrent calls with distinct it, and its figures must be a
+	// function of it alone.
+	Sample(it int, out []float64) error
 	// Reduce folds the figure-wise sums over all worlds (len Width()) into
 	// the final evaluation.
 	Reduce(sums []float64) (*Evaluation, error)
-}
-
-// KernelEvaluator is an Evaluator whose Monte-Carlo loop decomposes into a
-// WorldKernel, enabling iteration-level device parallelism.
-type KernelEvaluator interface {
-	Evaluator
-	// Kernel builds the per-world kernel for one configuration.
-	Kernel(config []int) (WorldKernel, error)
 }
 
 // worldSeed mixes a state-level base seed with an iteration index
@@ -62,30 +54,20 @@ func worldSeed(base int64, it int) int64 {
 }
 
 // WorldRNG returns the deterministic rng of Monte-Carlo iteration it within
-// the substream identified by base. The solver derives base from its seed
-// and the state key; results therefore depend on neither the device nor the
-// schedule.
+// the substream identified by base. State-keyed kernels call it inside
+// Sample with the base they were built with; results therefore depend on
+// neither the device nor the schedule.
 func WorldRNG(base int64, it int) *rand.Rand {
 	return rand.New(rand.NewSource(worldSeed(base, it)))
 }
 
-// RunKernel executes a kernel's worlds sequentially from the given substream
-// base and reduces them, accumulating in iteration order — the reference
-// semantics every device execution must (and does) match bit-identically.
-func RunKernel(k WorldKernel, base int64) (*Evaluation, error) {
-	width := k.Width()
-	sums := make([]float64, width)
-	tmp := make([]float64, width)
-	for it := 0; it < k.Worlds(); it++ {
-		for w := range tmp {
-			tmp[w] = 0
-		}
-		if err := k.Sample(it, WorldRNG(base, it), tmp); err != nil {
-			return nil, err
-		}
-		for w := range tmp {
-			sums[w] += tmp[w]
-		}
+// RunKernel executes a kernel's worlds sequentially and reduces them,
+// accumulating in iteration order — the reference semantics every device
+// execution must (and does) match bit-identically.
+func RunKernel(k WorldKernel) (*Evaluation, error) {
+	sums := make([]float64, k.Width())
+	if err := RunKernelRange(k, sums, 0, k.Worlds()); err != nil {
+		return nil, err
 	}
 	return k.Reduce(sums)
 }
@@ -134,21 +116,21 @@ type nativeKernel struct {
 	lastDirty int     // index into cone of the last dirty task
 }
 
-// CRNKernel implements CRNEvaluator: it builds the per-world kernel of one
-// configuration against the shared duration matrix of the given base seed.
-// Row filling happens here (serially, under the program's fill lock), so
-// Sample is read-only and a device may run worlds concurrently.
-func (n *Native) CRNKernel(config []int, base int64) (WorldKernel, error) {
-	k, err := n.newCRNKernel(config, base)
+// Kernel implements Evaluator: it builds the per-world kernel of one
+// configuration against the shared CRN duration matrix of the given base
+// seed. Row filling happens here (serially, under the program's fill lock),
+// so Sample is read-only and a device may run worlds concurrently.
+func (n *Native) Kernel(config []int, base int64) (WorldKernel, error) {
+	k, err := n.newKernel(config, base)
 	if err != nil {
 		return nil, err
 	}
 	return k, nil
 }
 
-// newCRNKernel is the concrete-typed CRNKernel build, shared with the
+// newKernel is the concrete-typed Kernel build, shared with the
 // snapshot-capturing and delta variants in delta.go.
-func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
+func (n *Native) newKernel(config []int, base int64) (*nativeKernel, error) {
 	if err := n.checkConfig(config); err != nil {
 		return nil, err
 	}
@@ -221,9 +203,8 @@ func (k *nativeKernel) Width() int { return k.width }
 // matrix, compute the makespan — by the full longest-path DP over pooled
 // scratch, or by the incremental dirty-cone recurrence when a parent
 // snapshot is attached — and sum the realized cost, then score the
-// probabilistic constraints. The rng is ignored (may be nil): all randomness
-// was drawn at row-fill time.
-func (k *nativeKernel) Sample(it int, _ *rand.Rand, out []float64) error {
+// probabilistic constraints. All randomness was drawn at row-fill time.
+func (k *nativeKernel) Sample(it int, out []float64) error {
 	var ms, cost float64
 	if k.needMS {
 		if k.parent != nil {

@@ -96,7 +96,7 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 		}
 	}
 	base := int64(42)
-	k, err := n.CRNKernel([]int{spotSmall, spotSmall, spotSmall, spotSmall}, base)
+	k, err := n.Kernel([]int{spotSmall, spotSmall, spotSmall, spotSmall}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 	if fig := pk.ValueFigure(); fig < 0 {
 		t.Fatalf("ValueFigure() = %d, want the sampled cost column", fig)
 	}
-	evSpot, err := RunCRNKernel(k)
+	evSpot, err := RunKernel(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +165,22 @@ func TestSpotDeltaMatchesFull(t *testing.T) {
 	childCfg := []int{0, 0, 4, 0} // task c moves to m1.small:spot
 
 	parentSnap := n.NewSnapshot()
-	pk, err := n.CRNKernelSnap(parentCfg, base, parentSnap)
+	pk, err := n.KernelSnap(parentCfg, base, parentSnap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCRNKernel(pk); err != nil {
+	if _, err := RunKernel(pk); err != nil {
 		t.Fatal(err)
 	}
 	childSnap := n.NewSnapshot()
-	dk, err := n.CRNDeltaKernel(childCfg, base, []int32{2}, parentSnap, childSnap)
+	dk, err := deltaKernel(n, childCfg, base, []int32{2}, parentSnap, childSnap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dk == nil {
 		t.Fatal("delta kernel declined on a 2-task cone")
 	}
-	got, err := RunCRNKernel(dk)
+	got, err := RunKernel(dk)
 	if err != nil {
 		t.Fatal(err)
 	}

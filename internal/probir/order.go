@@ -23,20 +23,12 @@ import "sort"
 // search state or device, so the resulting permutation — and with it every
 // adaptive decision — is bit-identical across Sequential/Parallel/TwoLevel.
 
-// WorldOrderer is an optional CRNEvaluator capability: a fixed
-// decisive-world-first permutation of the Monte-Carlo worlds for one CRN
-// base seed.
-type WorldOrderer interface {
-	// WorldOrder returns a permutation of [0, Worlds): position p holds the
-	// p-th world to run, most severe first. The returned slice is shared and
-	// read-only; nil means the evaluator has no useful ordering (no sampled
-	// worlds).
-	WorldOrder(base int64) []int32
-}
-
-// WorldOrder implements WorldOrderer: worlds sorted by descending severity
-// (critical-path sum over the uniform configurations), ties broken by
-// ascending world index. The permutation is computed once per compiled
+// WorldOrder returns the decisive-world-first permutation of the Monte-Carlo
+// worlds for one CRN base seed: position p holds the p-th world to run, most
+// severe first. Worlds sort by descending severity (critical-path sum over
+// the uniform configurations), ties broken by ascending world index. The
+// returned slice is shared and read-only; nil means there is no useful
+// ordering (no sampled worlds). The permutation is computed once per compiled
 // program and cached; computing it fills the program's full duration matrix,
 // which doubles as a warm-up for the search that follows.
 func (n *Native) WorldOrder(base int64) []int32 {

@@ -7,10 +7,10 @@ import (
 	"deco/internal/wlog"
 )
 
-// TestRunCRNKernelRangeChains verifies the chunk-resumable executor: folding
+// TestRunKernelRangeChains verifies the chunk-resumable executor: folding
 // worlds chunk by chunk into running sums is bit-identical to a single
 // sequential run, for any chunk boundaries.
-func TestRunCRNKernelRangeChains(t *testing.T) {
+func TestRunKernelRangeChains(t *testing.T) {
 	cons := []wlog.Constraint{
 		{Kind: "deadline", Percentile: 0.9, Bound: 2500},
 		{Kind: "budget", Percentile: 0.8, Bound: 5},
@@ -21,12 +21,12 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 	for i := range cfg {
 		cfg[i] = rng.Intn(n.NumTypes())
 	}
-	k, err := n.CRNKernel(cfg, 9)
+	k, err := n.Kernel(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := make([]float64, k.Width())
-	if err := RunCRNKernelRange(k, full, 0, k.Worlds()); err != nil {
+	if err := RunKernelRange(k, full, 0, k.Worlds()); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
@@ -37,7 +37,7 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 			if hi > k.Worlds() {
 				hi = k.Worlds()
 			}
-			if err := RunCRNKernelRange(k, chunked, lo, hi); err != nil {
+			if err := RunKernelRange(k, chunked, lo, hi); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
@@ -65,13 +65,13 @@ func TestReducePartialFullIsReduce(t *testing.T) {
 		for i := range cfg {
 			cfg[i] = rng.Intn(n.NumTypes())
 		}
-		wk, err := n.CRNKernel(cfg, 7)
+		wk, err := n.Kernel(cfg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := wk.(*nativeKernel)
 		sums := make([]float64, k.Width())
-		if err := RunCRNKernelRange(k, sums, 0, k.Worlds()); err != nil {
+		if err := RunKernelRange(k, sums, 0, k.Worlds()); err != nil {
 			t.Fatal(err)
 		}
 		full, err := k.Reduce(sums)
@@ -98,13 +98,13 @@ func TestReducePartialPessimistic(t *testing.T) {
 		for i := range cfg {
 			cfg[i] = rng.Intn(n.NumTypes())
 		}
-		wk, err := n.CRNKernel(cfg, 7)
+		wk, err := n.Kernel(cfg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := wk.(*nativeKernel)
 		fullSums := make([]float64, k.Width())
-		if err := RunCRNKernelRange(k, fullSums, 0, k.Worlds()); err != nil {
+		if err := RunKernelRange(k, fullSums, 0, k.Worlds()); err != nil {
 			t.Fatal(err)
 		}
 		full, err := k.Reduce(fullSums)
@@ -114,7 +114,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 		sums := make([]float64, k.Width())
 		lo := 0
 		for _, hi := range []int{8, 24, 48} {
-			if err := RunCRNKernelRange(k, sums, lo, hi); err != nil {
+			if err := RunKernelRange(k, sums, lo, hi); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
@@ -146,7 +146,7 @@ func TestIndicators(t *testing.T) {
 		{Kind: "budget", Percentile: -1, Bound: 50},
 		{Kind: "budget", Percentile: 0.8, Bound: 5},
 	}, 16)
-	wk, err := n.CRNKernel(cfgFor(n), 1)
+	wk, err := n.Kernel(cfgFor(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestIndicators(t *testing.T) {
 	n = deltaFixture(t, 8, 3, GoalMakespan, []wlog.Constraint{
 		{Kind: "deadline", Percentile: -1, Bound: 2500},
 	}, 16)
-	wk, err = n.CRNKernel(cfgFor(n), 1)
+	wk, err = n.Kernel(cfgFor(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,14 @@ type Evaluation struct {
 // Evaluator scores a configuration: config[i] is the catalog type index
 // assigned to workflow task i (in Workflow.Tasks order).
 type Evaluator interface {
+	// Evaluate runs the Monte-Carlo inference sequentially, with the
+	// kernel's base seed drawn from rng.
 	Evaluate(config []int, rng *rand.Rand) (*Evaluation, error)
+	// Kernel builds the per-world kernel of one configuration. base seeds
+	// every draw the kernel makes: Native kernels read the CRN duration
+	// matrix of base (shared by every state of a search), Prolog kernels
+	// draw world it from WorldRNG(base, it) (base is per state).
+	Kernel(config []int, base int64) (WorldKernel, error)
 	// NumTasks and NumTypes give the dimensions of the configuration space.
 	NumTasks() int
 	NumTypes() int
@@ -159,36 +166,6 @@ func (n *Native) MeanCost(config []int) (float64, error) {
 		total += td.Mean()/3600*n.PricePerHour[j] + td.XferCostUSD
 	}
 	return total, nil
-}
-
-// MeanMakespan estimates the expected makespan by Monte-Carlo sampling over
-// the flat evaluation core (the CRN base is drawn from rng).
-func (n *Native) MeanMakespan(config []int, rng *rand.Rand) (float64, error) {
-	if err := n.checkConfig(config); err != nil {
-		return 0, err
-	}
-	rows := n.program(rng.Int63()).Rows(config)
-	f := n.flat
-	finish := make([]float64, f.Len())
-	sum := 0.0
-	for it := 0; it < n.Iters; it++ {
-		ms := 0.0
-		for k, ti := range f.Order {
-			start := 0.0
-			for _, p := range f.Parents[f.ParentStart[k]:f.ParentStart[k+1]] {
-				if fp := finish[p]; fp > start {
-					start = fp
-				}
-			}
-			end := start + rows[ti][it]
-			finish[ti] = end
-			if end > ms {
-				ms = end
-			}
-		}
-		sum += ms
-	}
-	return sum / float64(n.Iters), nil
 }
 
 // Evaluate implements Evaluator: Monte-Carlo inference per Algorithm 1, run

@@ -172,30 +172,48 @@ func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
 // Iters sampled realizations, through the same per-world kernel the device
 // path executes, so results are device- and schedule-independent.
 func (p *Prolog) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
-	k, err := p.Kernel(config)
+	k, err := p.Kernel(config, rng.Int63())
 	if err != nil {
 		return nil, err
 	}
-	return RunKernel(k, rng.Int63())
+	return RunKernel(k)
 }
 
-// prologKernel interprets one world per thread. Figures: the goal value,
-// then per constraint its queried value and a 0/1 satisfaction indicator.
-// Machines are pooled: each concurrent world checks one out, installs its
-// sampled facts (which clears any tabled answers), and returns it.
+// prologKernel interprets one world per thread, drawing world it's exetime
+// facts from WorldRNG(base, it). Figures: the goal value, then per
+// constraint its queried value and a 0/1 satisfaction indicator. Workers are
+// pooled: each concurrent world checks one out, installs its sampled facts
+// (which clears any tabled answers), and returns it.
 type prologKernel struct {
 	p      *Prolog
 	config []int
+	base   int64
 	pool   sync.Pool
 }
 
-// Kernel implements KernelEvaluator.
-func (p *Prolog) Kernel(config []int) (WorldKernel, error) {
+// prologWorker is one pooled interpreter: a machine plus its own renamed
+// copy of the program's (Var, Query) pairs — the goal's at queries[0:2],
+// constraint ci's at queries[2+2ci:4+2ci]. Proving a query binds its Var
+// cells, so worlds running concurrently must never share them.
+type prologWorker struct {
+	m       *prolog.Machine
+	queries []prolog.Term
+}
+
+// Kernel implements Evaluator: base is the state's world substream base.
+func (p *Prolog) Kernel(config []int, base int64) (WorldKernel, error) {
 	if len(config) != p.W.Len() {
 		return nil, fmt.Errorf("probir: config length %d, want %d", len(config), p.W.Len())
 	}
-	k := &prologKernel{p: p, config: config}
-	k.pool.New = func() any { return p.base.Clone() }
+	k := &prologKernel{p: p, config: config, base: base}
+	k.pool.New = func() any {
+		prog := p.Program
+		terms := []prolog.Term{prog.Goal.Var, prog.Goal.Query}
+		for _, c := range prog.Constraints {
+			terms = append(terms, c.Var, c.Query)
+		}
+		return &prologWorker{m: p.base.Clone(), queries: prolog.Rename(terms...)}
+	}
 	return k, nil
 }
 
@@ -206,19 +224,19 @@ func (k *prologKernel) Worlds() int { return k.p.Iters }
 func (k *prologKernel) Width() int { return 1 + 2*len(k.p.Program.Constraints) }
 
 // Sample implements WorldKernel.
-func (k *prologKernel) Sample(it int, rng *rand.Rand, out []float64) error {
-	m := k.pool.Get().(*prolog.Machine)
-	defer k.pool.Put(m)
-	if err := k.p.assertWorld(m, k.config, rng); err != nil {
+func (k *prologKernel) Sample(it int, out []float64) error {
+	w := k.pool.Get().(*prologWorker)
+	defer k.pool.Put(w)
+	if err := k.p.assertWorld(w.m, k.config, WorldRNG(k.base, it)); err != nil {
 		return err
 	}
-	gv, err := queryNumber(m, k.p.Program.Goal.Var, k.p.Program.Goal.Query)
+	gv, err := queryNumber(w.m, w.queries[0], w.queries[1])
 	if err != nil {
 		return err
 	}
 	out[0] = gv
 	for ci, c := range k.p.Program.Constraints {
-		cv, err := queryNumber(m, c.Var, c.Query)
+		cv, err := queryNumber(w.m, w.queries[2+2*ci], w.queries[3+2*ci])
 		if err != nil {
 			return err
 		}

@@ -195,6 +195,20 @@ func renameTerm(t Term, seen map[*Var]*Var) Term {
 	}
 }
 
+// Rename copies terms with fresh variables, preserving variable sharing
+// across all of them: a variable occurring in two of the terms maps to one
+// fresh variable. Proving a renamed copy binds only the copy's variables, so
+// goroutines that each hold their own copy can prove the same query on
+// separate machines without touching shared Var cells.
+func Rename(ts ...Term) []Term {
+	seen := map[*Var]*Var{}
+	out := make([]Term, len(ts))
+	for i, t := range ts {
+		out[i] = renameTerm(t, seen)
+	}
+	return out
+}
+
 // Snapshot returns a copy of t with all bound variables replaced by their
 // values and unbound variables preserved as fresh markers. Use it to keep a
 // solution after backtracking undoes bindings.

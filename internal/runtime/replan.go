@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sync"
 
 	"deco/internal/dag"
@@ -70,24 +69,11 @@ func (s *residualSpace) Neighbors(st opt.State) []opt.State {
 	return out
 }
 
-// Evaluate implements opt.Space, running the residual kernel with the
-// solver-supplied state rng — the same substream base the kernel path
-// derives, so both are bit-identical.
-func (s *residualSpace) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
-	k, err := s.r.buildKernel(st)
-	if err != nil {
-		return nil, err
-	}
-	return probir.RunKernel(k, rng.Int63())
-}
-
-// Kernel implements opt.KernelSpace for two-level device execution. The
-// residual space stays on the state-keyed rng contract: its conditioned
-// rejection sampling (condSample) draws a data-dependent number of variates
-// per task, which is incompatible with the fixed (task, iteration) streams
-// of the CRN duration matrix.
-func (s *residualSpace) Kernel(st opt.State) (probir.WorldKernel, error) {
-	return s.r.buildKernel(st)
+// Kernel implements opt.Space. The residual space stays on state-keyed
+// world substreams (see residualKernel), derived from the search seed and
+// the state key.
+func (s *residualSpace) Kernel(st opt.State, seed int64) (probir.WorldKernel, error) {
+	return s.r.buildKernel(st, opt.StateBase(seed, st))
 }
 
 // Fingerprint implements opt.FingerprintSpace: a content hash of the full
